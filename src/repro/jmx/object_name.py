@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional
 
 
@@ -26,6 +27,11 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 class ObjectName:
     """A structured MBean name: ``domain:key=value,...``.
 
+    Names are immutable: ``domain`` cannot be reassigned and ``properties``
+    is a read-only mapping, so the canonical string and hash — built once
+    here, since every ``MBeanServer`` lookup hashes and compares names —
+    can never go stale.
+
     Parameters
     ----------
     name:
@@ -35,22 +41,18 @@ class ObjectName:
         Key-property mapping used when ``name`` is only the domain.
     """
 
-    __slots__ = ("domain", "properties", "_property_list_pattern")
+    __slots__ = ("_domain", "_properties", "_property_list_pattern", "_canonical", "_hash")
 
     def __init__(self, name: str, properties: Optional[Mapping[str, str]] = None) -> None:
         if properties is not None:
-            self.domain = name
-            self.properties = {str(k): str(v) for k, v in properties.items()}
-            self._property_list_pattern = False
-            self._validate()
+            self._init(name, {str(k): str(v) for k, v in properties.items()}, False)
             return
 
         if ":" not in name:
             raise MalformedObjectNameError(f"missing ':' separator in object name {name!r}")
         domain, _, prop_text = name.partition(":")
-        self.domain = domain
-        self.properties = {}
-        self._property_list_pattern = False
+        parsed: Dict[str, str] = {}
+        property_list_pattern = False
 
         prop_text = prop_text.strip()
         if not prop_text:
@@ -59,7 +61,7 @@ class ObjectName:
         parts = [p.strip() for p in prop_text.split(",")]
         for index, part in enumerate(parts):
             if part == "*":
-                self._property_list_pattern = True
+                property_list_pattern = True
                 if index != len(parts) - 1:
                     raise MalformedObjectNameError(
                         f"property-list wildcard '*' must be last in {name!r}"
@@ -72,39 +74,55 @@ class ObjectName:
             value = value.strip()
             if not key or not value:
                 raise MalformedObjectNameError(f"empty key or value in {part!r} of {name!r}")
-            if key in self.properties:
+            if key in parsed:
                 raise MalformedObjectNameError(f"duplicate key {key!r} in {name!r}")
-            self.properties[key] = value
-        self._validate()
+            parsed[key] = value
+        self._init(domain, parsed, property_list_pattern)
 
-    def _validate(self) -> None:
-        if not self.domain:
+    def _init(self, domain: str, properties: Dict[str, str], property_list_pattern: bool) -> None:
+        """Validate the parts, then freeze them with their canonical form."""
+        if not domain:
             raise MalformedObjectNameError("object name domain must be non-empty")
-        if not self.properties and not self._property_list_pattern:
+        if not properties and not property_list_pattern:
             raise MalformedObjectNameError(
-                f"object name {self.domain!r} must have at least one key property"
+                f"object name {domain!r} must have at least one key property"
             )
-        for key in self.properties:
+        for key in properties:
             if not _KEY_RE.match(key):
                 raise MalformedObjectNameError(f"invalid property key {key!r}")
+        self._domain = domain
+        self._properties = MappingProxyType(properties)
+        self._property_list_pattern = property_list_pattern
+        props = ",".join(f"{k}={properties[k]}" for k in sorted(properties))
+        if property_list_pattern:
+            props = f"{props},*" if props else "*"
+        self._canonical = f"{domain}:{props}"
+        self._hash = hash(self._canonical)
 
     # ------------------------------------------------------------------ #
     @property
+    def domain(self) -> str:
+        """The domain part (before the ``:``)."""
+        return self._domain
+
+    @property
+    def properties(self) -> Mapping[str, str]:
+        """Read-only key-property mapping."""
+        return self._properties
+
+    @property
     def canonical(self) -> str:
         """Canonical string form with keys sorted alphabetically."""
-        props = ",".join(f"{k}={self.properties[k]}" for k in sorted(self.properties))
-        if self._property_list_pattern:
-            props = f"{props},*" if props else "*"
-        return f"{self.domain}:{props}"
+        return self._canonical
 
     @property
     def is_pattern(self) -> bool:
         """Whether this name contains any wildcard."""
         if self._property_list_pattern:
             return True
-        if any(ch in self.domain for ch in "*?"):
+        if any(ch in self._domain for ch in "*?"):
             return True
-        return any(any(ch in v for ch in "*?") for v in self.properties.values())
+        return any(any(ch in v for ch in "*?") for v in self._properties.values())
 
     def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """Value of a key property (or ``default``)."""
@@ -134,13 +152,17 @@ class ObjectName:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObjectName):
             return NotImplemented
-        return self.canonical == other.canonical
+        return self._hash == other._hash and self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical)
+        return self._hash
+
+    def __reduce__(self):
+        # The read-only mapping does not pickle; rebuild from the parts.
+        return (_rebuild, (self._domain, dict(self._properties), self._property_list_pattern))
 
     def __str__(self) -> str:
-        return self.canonical
+        return self._canonical
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ObjectName({self.canonical!r})"
@@ -150,6 +172,13 @@ class ObjectName:
     def of(cls, domain: str, **properties: str) -> "ObjectName":
         """Convenience constructor: ``ObjectName.of('repro.agents', type='memory')``."""
         return cls(domain, properties=properties)
+
+
+def _rebuild(domain: str, properties: Dict[str, str], property_list_pattern: bool) -> ObjectName:
+    """Unpickle an :class:`ObjectName` (see ``ObjectName.__reduce__``)."""
+    name = ObjectName.__new__(ObjectName)
+    name._init(domain, properties, property_list_pattern)
+    return name
 
 
 def to_object_name(name: "ObjectName | str") -> ObjectName:

@@ -47,6 +47,7 @@ class JvmThread:
         "created_at",
         "stack_bytes",
         "stack_object",
+        "_registry",
     )
 
     def __init__(
@@ -69,6 +70,9 @@ class JvmThread:
         #: Heap object pinning this thread's stack memory (``None`` unless
         #: the registry was asked to account the stack on the heap).
         self.stack_object = None
+        #: The registry this thread was spawned into, told when it dies so
+        #: its live counters stay exact however the thread is terminated.
+        self._registry: Optional["ThreadRegistry"] = None
 
     def start(self) -> None:
         """Move the thread to RUNNABLE (mirrors ``Thread.start``)."""
@@ -88,8 +92,13 @@ class JvmThread:
             self.state = ThreadState.RUNNABLE
 
     def terminate(self) -> None:
-        """Terminate the thread."""
+        """Terminate the thread (a no-op on an already terminated one)."""
+        if self.state is ThreadState.TERMINATED:
+            return
+        was_alive = self.state is not ThreadState.NEW
         self.state = ThreadState.TERMINATED
+        if was_alive and self._registry is not None:
+            self._registry._retire(self)
 
     @property
     def is_alive(self) -> bool:
@@ -102,6 +111,11 @@ class JvmThread:
 
 class ThreadRegistry:
     """Registry of all threads in the simulated JVM (ThreadMXBean analogue).
+
+    The thread monitoring agent reads ``count_by_owner`` on every sample, so
+    every read is O(1): live threads are indexed by owner (insertion-ordered,
+    i.e. by thread id) next to running live-count and stack-byte totals,
+    which spawn and termination keep exact.
 
     Parameters
     ----------
@@ -122,7 +136,11 @@ class ThreadRegistry:
             raise ValueError(f"thread capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity) if capacity is not None else None
         self._heap = heap
+        #: Every registered thread, live or terminated-but-not-removed.
         self._threads: Dict[int, JvmThread] = {}
+        self._live_by_owner: Dict[Optional[str], Dict[int, JvmThread]] = {}
+        self._live_count = 0
+        self._live_stack_bytes = 0
         self._peak_count = 0
         self._total_started = 0
 
@@ -144,10 +162,10 @@ class ThreadRegistry:
         repro.jvm.heap.OutOfMemoryError
             When ``pin_stack`` is set and the stack allocation does not fit.
         """
-        if self.capacity is not None and self.live_count() >= self.capacity:
+        if self.capacity is not None and self._live_count >= self.capacity:
             raise ThreadLimitError(
                 f"unable to create new thread {name!r}: "
-                f"{self.live_count()} live threads at capacity {self.capacity}"
+                f"{self._live_count} live threads at capacity {self.capacity}"
             )
         thread = JvmThread(
             name=name,
@@ -165,12 +183,21 @@ class ThreadRegistry:
                 root=True,
             )
         thread.start()
+        thread._registry = self
         self._threads[thread.thread_id] = thread
+        self._live_by_owner.setdefault(owner, {})[thread.thread_id] = thread
+        self._live_count += 1
+        self._live_stack_bytes += thread.stack_bytes
         self._total_started += 1
-        live = self.live_count()
-        if live > self._peak_count:
-            self._peak_count = live
+        if self._live_count > self._peak_count:
+            self._peak_count = self._live_count
         return thread
+
+    def _retire(self, thread: JvmThread) -> None:
+        """Drop a thread that just died from the live index and totals."""
+        del self._live_by_owner[thread.owner][thread.thread_id]
+        self._live_count -= 1
+        self._live_stack_bytes -= thread.stack_bytes
 
     def _release_stack(self, thread: JvmThread) -> int:
         """Free a dead thread's pinned stack; returns the bytes released."""
@@ -197,7 +224,7 @@ class ThreadRegistry:
         component's runaway threads die with it and their pinned stack
         memory is released.  Returns ``(threads_terminated, stack_bytes)``.
         """
-        victims = [t for t in self._threads.values() if t.is_alive and t.owner == owner]
+        victims = list(self._live_by_owner.get(owner, {}).values())
         freed_bytes = 0
         for thread in victims:
             thread.terminate()
@@ -215,19 +242,22 @@ class ThreadRegistry:
 
     def live_count(self) -> int:
         """Number of live threads."""
-        return sum(1 for t in self._threads.values() if t.is_alive)
+        return self._live_count
 
     def count_by_owner(self, owner: str) -> int:
         """Number of live threads created on behalf of ``owner``."""
-        return sum(1 for t in self._threads.values() if t.is_alive and t.owner == owner)
+        return len(self._live_by_owner.get(owner, ()))
 
     def live_threads(self) -> List[JvmThread]:
         """All live threads (sorted by id)."""
-        return [self._threads[tid] for tid in sorted(self._threads) if self._threads[tid].is_alive]
+        return sorted(
+            (thread for owned in self._live_by_owner.values() for thread in owned.values()),
+            key=lambda thread: thread.thread_id,
+        )
 
     def stack_bytes_total(self) -> int:
         """Total stack memory of live threads."""
-        return sum(t.stack_bytes for t in self._threads.values() if t.is_alive)
+        return self._live_stack_bytes
 
     @property
     def peak_count(self) -> int:

@@ -49,6 +49,11 @@ Coverage, mirroring the hottest layers of the reproduction stack:
     simultaneous vs. no-action rejuvenation at four shards behind the load
     balancer), plus its headline verdicts (per-mode SLA cost, rolling
     minimum capacity, whether rolling wins).
+``thread_accounting``
+    JVM thread accounting on the thread agent's sample path (~700 live
+    threads, per-owner and total counts per sample, a running leak and
+    micro-reboot reclaims): the registry's per-owner live index vs. the
+    scanning registry, re-measured live.
 """
 
 from __future__ import annotations
@@ -1028,4 +1033,92 @@ def bench_hybrid_e2e(options: BenchOptions) -> BenchResult:
         speedup_vs_seed=reduction,
         target_speedup=SCALE_EVENT_REDUCTION_TARGET,
         config=_e2e_config(options),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# JVM thread accounting
+# --------------------------------------------------------------------------- #
+#: O(1) counter reads vs. an O(threads) scan at ~700 live threads: the live
+#: ratio sits far above this, so the gate trips only if a scan creeps back.
+THREAD_ACCOUNTING_TARGET = 10.0
+
+
+def _build_thread_registry(registry_class, owners: List[str], live: int):
+    """A ``fleet_ops``-sized shard: a 150-thread worker pool plus leaked
+    threads spread over ``owners``, ``live`` threads in all."""
+    registry = registry_class(capacity=live + 1)
+    for index in range(150):
+        registry.spawn(f"http-worker-{index}", owner="http-pool", daemon=True)
+    for index in range(live - 150):
+        registry.spawn(f"leak-{index}", owner=owners[index % len(owners)])
+    return registry
+
+
+def _sample_threads(registry, owners: List[str], live: int, samples: int) -> int:
+    """The thread agent's read pattern: each owner's count and the live total.
+
+    Each sample also leaks one thread, and whenever the registry is past
+    ``live`` the next owner is micro-rebooted (``terminate_owned``).
+    Returns a checksum of every count read, so both sides can be compared.
+    """
+    checksum = 0
+    for sample in range(samples):
+        for owner in owners:
+            checksum += registry.count_by_owner(owner)
+        checksum += registry.live_count()
+        registry.spawn(f"leak-s{sample}", owner=owners[sample % len(owners)])
+        if registry.live_count() > live:
+            registry.terminate_owned(owners[(sample + 1) % len(owners)])
+    return checksum
+
+
+@microbench("thread_accounting")
+def bench_thread_accounting(options: BenchOptions) -> BenchResult:
+    """Per-owner live index vs. the scanning ``ThreadRegistry`` (live A/B).
+
+    Only the sampling is timed; each repeat gets a registry built beforehand.
+    """
+    from repro.jvm.threads import ThreadRegistry
+    from repro.perf.seed_reference import SeedThreadRegistry
+
+    owners = ["home", "product_detail", "new_products", "shopping_cart"]
+    live = 700
+    samples = 300 if options.tiny else 2_000
+    repeats = 3
+    sides = {"current": ThreadRegistry, "seed": SeedThreadRegistry}
+    checksums = {
+        name: _sample_threads(_build_thread_registry(cls, owners, live), owners, live, samples)
+        for name, cls in sides.items()
+    }
+    if checksums["current"] != checksums["seed"]:
+        raise AssertionError(f"thread counts diverge from the scanning registry: {checksums}")
+    prebuilt = {
+        name: [_build_thread_registry(cls, owners, live) for _ in range(repeats)]
+        for name, cls in sides.items()
+    }
+
+    def make_runner(name: str) -> Callable[[], int]:
+        def run() -> int:
+            _sample_threads(prebuilt[name].pop(), owners, live, samples)
+            return samples
+
+        return run
+
+    rates = measure_rates_interleaved(
+        {name: make_runner(name) for name in sides}, repeats=repeats, warmup=False
+    )
+    current, seed = rates["current"], rates["seed"]
+    return BenchResult(
+        name="thread_accounting",
+        metrics={
+            "samples_per_second": current,
+            "seed_samples_per_second": seed,
+            "live_threads": live,
+            "owners": len(owners),
+            "samples": samples,
+        },
+        speedup_vs_seed=current / seed,
+        target_speedup=THREAD_ACCOUNTING_TARGET,
+        config={"tiny": options.tiny},
     )

@@ -7,8 +7,8 @@ verbatim (the ``order=True`` dataclass event heap and the closure-chain
 weaver with its eagerly allocated dataclass join point), so every bench run
 re-measures the seed algorithm live instead of trusting stale numbers.
 
-Nothing outside :mod:`repro.perf` may import from here — these classes exist
-purely as measurement controls.
+No production module may import from here — these classes exist purely as
+measurement controls and as test oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.aop.advice import Advice, AdviceKind
 from repro.aop.aspect import Aspect
 from repro.aop.joinpoint import Signature, declaring_type_of
+from repro.jvm.threads import JvmThread, ThreadLimitError, ThreadState
 
 
 # --------------------------------------------------------------------------- #
@@ -564,3 +565,115 @@ def make_seed_row_database_class():
             )
 
     return SeedRowHandlingDatabase
+
+
+# --------------------------------------------------------------------------- #
+# Seed thread registry (every count an O(threads) scan)
+# --------------------------------------------------------------------------- #
+class SeedThreadRegistry:
+    """``ThreadRegistry`` before its live index: every read re-scans all threads.
+
+    ``live_count``/``count_by_owner``/``stack_bytes_total`` and the capacity
+    check in ``spawn`` walk every registered thread, which is what the thread
+    agent paid on each sample before the registry kept a per-owner live
+    index.  Kept as the ``thread_accounting`` bench baseline and as the
+    recount oracle of the registry's property tests.
+    """
+
+    def __init__(self, capacity: Optional[int] = None, heap=None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"thread capacity must be >= 1, got {capacity}")
+        self.capacity = int(capacity) if capacity is not None else None
+        self._heap = heap
+        self._threads: Dict[int, JvmThread] = {}
+        self._peak_count = 0
+        self._total_started = 0
+
+    def spawn(
+        self,
+        name: str,
+        owner: Optional[str] = None,
+        daemon: bool = False,
+        created_at: float = 0.0,
+        stack_bytes: int = 512 * 1024,
+        pin_stack: bool = False,
+    ) -> JvmThread:
+        if self.capacity is not None and self.live_count() >= self.capacity:
+            raise ThreadLimitError(
+                f"unable to create new thread {name!r}: "
+                f"{self.live_count()} live threads at capacity {self.capacity}"
+            )
+        thread = JvmThread(
+            name=name,
+            owner=owner,
+            daemon=daemon,
+            created_at=created_at,
+            stack_bytes=stack_bytes,
+        )
+        if pin_stack and self._heap is not None:
+            thread.stack_object = self._heap.allocate(
+                "java.lang.Thread[stack]",
+                shallow_size=stack_bytes,
+                owner=owner,
+                timestamp=created_at,
+                root=True,
+            )
+        thread.start()
+        self._threads[thread.thread_id] = thread
+        self._total_started += 1
+        live = self.live_count()
+        if live > self._peak_count:
+            self._peak_count = live
+        return thread
+
+    def _release_stack(self, thread: JvmThread) -> int:
+        stack = thread.stack_object
+        if stack is None or self._heap is None:
+            return 0
+        thread.stack_object = None
+        if self._heap.is_live(stack):
+            self._heap.free(stack)
+            return stack.shallow_size
+        return 0
+
+    def terminate(self, thread: JvmThread) -> None:
+        if thread.thread_id not in self._threads:
+            raise KeyError(f"thread {thread.thread_id} is not registered")
+        thread.terminate()
+        self._release_stack(thread)
+
+    def terminate_owned(self, owner: str) -> Tuple[int, int]:
+        victims = [t for t in self._threads.values() if t.is_alive and t.owner == owner]
+        freed_bytes = 0
+        for thread in victims:
+            thread.terminate()
+            freed_bytes += self._release_stack(thread)
+            del self._threads[thread.thread_id]
+        return len(victims), freed_bytes
+
+    def remove_terminated(self) -> int:
+        dead = [tid for tid, t in self._threads.items() if t.state is ThreadState.TERMINATED]
+        for tid in dead:
+            self._release_stack(self._threads[tid])
+            del self._threads[tid]
+        return len(dead)
+
+    def live_count(self) -> int:
+        return sum(1 for t in self._threads.values() if t.is_alive)
+
+    def count_by_owner(self, owner: str) -> int:
+        return sum(1 for t in self._threads.values() if t.is_alive and t.owner == owner)
+
+    def live_threads(self) -> List[JvmThread]:
+        return [self._threads[tid] for tid in sorted(self._threads) if self._threads[tid].is_alive]
+
+    def stack_bytes_total(self) -> int:
+        return sum(t.stack_bytes for t in self._threads.values() if t.is_alive)
+
+    @property
+    def peak_count(self) -> int:
+        return self._peak_count
+
+    @property
+    def total_started(self) -> int:
+        return self._total_started

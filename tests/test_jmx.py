@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,26 @@ class TestObjectName:
         exact = ObjectName("d:a=1")
         assert not exact.matches(ObjectName("d:a=1,b=2"))
         assert exact.matches(ObjectName("d:a=1"))
+
+    def test_name_is_immutable(self):
+        name = ObjectName("repro.agents:type=memory,name=a1")
+        before = (name.canonical, hash(name))
+        with pytest.raises(AttributeError):
+            name.domain = "other"
+        with pytest.raises(AttributeError):
+            name.properties = {"type": "cpu"}
+        with pytest.raises(TypeError):
+            name.properties["type"] = "cpu"
+        with pytest.raises(TypeError):
+            del name.properties["name"]
+        assert (name.canonical, hash(name)) == before
+
+    def test_caller_mapping_does_not_alias_properties(self):
+        properties = {"type": "memory"}
+        name = ObjectName("d", properties=properties)
+        properties["type"] = "cpu"
+        assert name.get("type") == "memory"
+        assert name == ObjectName("d:type=memory")
 
 
 class TestMBean:
@@ -258,3 +280,53 @@ def test_property_pattern_with_property_wildcard_matches_self(domain, properties
     concrete = ObjectName.of(domain, **properties)
     pattern = ObjectName(f"{domain}:*")
     assert pattern.matches(concrete)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    domain=_ident,
+    properties=st.dictionaries(_ident, _ident, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_property_name_forms_agree(domain, properties, data):
+    """Parsed, ``of(...)`` and pattern forms hash, match and query alike."""
+    keys = data.draw(st.permutations(sorted(properties)))
+    text = f"{domain}:" + ",".join(f"{k}={properties[k]}" for k in keys)
+    parsed, built = ObjectName(text), ObjectName.of(domain, **properties)
+    for form in (parsed, pickle.loads(pickle.dumps(built))):
+        assert form == built and hash(form) == hash(built)
+
+    wildcard_key = keys[0]
+    value_pattern = dict(properties, **{wildcard_key: properties[wildcard_key][:1] + "*"})
+    # (string form, equivalent keyword form or None when there is none)
+    patterns = (
+        (f"{domain}:{wildcard_key}={value_pattern[wildcard_key]},*", None),
+        (
+            f"{domain}:" + ",".join(f"{k}={value_pattern[k]}" for k in reversed(keys)),
+            ObjectName.of(domain, **value_pattern),
+        ),
+        (f"{domain[:1]}*:*", None),
+    )
+    concretes = [
+        built,
+        ObjectName.of(domain, **dict(properties, extra="1")),
+        ObjectName.of(domain + "x", **properties),
+        ObjectName.of(domain, **{k: v + "z" for k, v in properties.items()}),
+    ]
+    for pattern_text, keyword_form in patterns:
+        forms = [ObjectName(pattern_text), pickle.loads(pickle.dumps(ObjectName(pattern_text)))]
+        if keyword_form is not None:
+            forms.append(keyword_form)
+        assert forms[0].is_pattern
+        assert len({hash(form) for form in forms}) == 1
+        assert all(form == forms[0] for form in forms)
+        expected = [forms[0].matches(name) for name in concretes]
+        assert expected[0]
+        assert all([form.matches(name) for name in concretes] == expected for form in forms)
+        query_results = []
+        for query in [*forms, pattern_text]:
+            server = MBeanServer()
+            for name in {c.canonical: c for c in concretes}.values():
+                server.register(name, _SampleBean())
+            query_results.append(server.query_names(query))
+        assert all(result == query_results[0] for result in query_results)

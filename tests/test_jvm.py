@@ -10,7 +10,8 @@ from repro.jvm.gc import GarbageCollector
 from repro.jvm.heap import Heap, OutOfMemoryError
 from repro.jvm.objects import JavaObject, sizeof_array, sizeof_string
 from repro.jvm.runtime import JvmRuntime
-from repro.jvm.threads import ThreadRegistry, ThreadState
+from repro.jvm.threads import JvmThread, ThreadLimitError, ThreadRegistry, ThreadState
+from repro.perf.seed_reference import SeedThreadRegistry
 
 
 class TestJavaObject:
@@ -174,6 +175,20 @@ class TestThreads:
         registry.spawn("b", stack_bytes=2000)
         assert registry.stack_bytes_total() == 3000
 
+    def test_terminate_owned_frees_stacks_in_spawn_order(self):
+        heap = Heap(10_000)
+        registry = ThreadRegistry(heap=heap)
+        for index, size in enumerate((100, 200, 300)):
+            registry.spawn(f"t{index}", owner="home", stack_bytes=size, pin_stack=True)
+        registry.spawn("other", owner="cart", stack_bytes=50, pin_stack=True)
+        freed = []
+        real_free = heap.free
+        heap.free = lambda obj: (freed.append(obj.shallow_size), real_free(obj))
+        assert registry.terminate_owned("home") == (3, 600)
+        assert freed == [100, 200, 300]
+        assert registry.terminate_owned("home") == (0, 0)
+        assert heap.used_bytes == 50
+
 
 class TestJvmRuntime:
     def test_memory_facade(self):
@@ -250,3 +265,84 @@ def test_property_gc_never_collects_reachable(data):
     for node in chain:
         assert heap.is_live(node)
     assert heap.live_object_count == len(chain)
+
+
+_THREAD_OWNERS = (None, "home", "cart", "pool")
+
+
+def _assert_matches_recount(registry, registry_heap, oracle, oracle_heap):
+    assert registry.live_count() == oracle.live_count()
+    for owner in _THREAD_OWNERS:
+        assert registry.count_by_owner(owner) == oracle.count_by_owner(owner)
+    assert registry.stack_bytes_total() == oracle.stack_bytes_total()
+    assert registry.peak_count == oracle.peak_count
+    assert registry.total_started == oracle.total_started
+    assert [t.name for t in registry.live_threads()] == [t.name for t in oracle.live_threads()]
+    assert registry_heap.used_bytes == oracle_heap.used_bytes
+
+
+_thread_ops = st.one_of(
+    st.tuples(
+        st.just("spawn"),
+        st.sampled_from(_THREAD_OWNERS),
+        st.integers(min_value=1, max_value=400),
+        st.booleans(),
+    ),
+    st.tuples(st.just("terminate"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("direct_terminate"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("terminate_owned"), st.sampled_from(_THREAD_OWNERS)),
+    st.tuples(st.just("remove_terminated")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=8), ops=st.lists(_thread_ops, max_size=60))
+def test_property_thread_counters_match_recount(capacity, ops):
+    """The registry's O(1) counters equal an O(n) recount after every step.
+
+    The oracle is the scanning registry twin, driven in lockstep through
+    spawns (pinned stacks or not, refused at capacity or by a full heap),
+    registry and direct terminations (doubles included), micro-reboot
+    reclaims and removal of dead threads.
+    """
+    registry_heap, oracle_heap = Heap(2_000), Heap(2_000)
+    registry = ThreadRegistry(capacity=capacity, heap=registry_heap)
+    oracle = SeedThreadRegistry(capacity=capacity, heap=oracle_heap)
+    pairs = []
+    for step, op in enumerate(ops):
+        kind = op[0]
+        if kind == "spawn":
+            _, owner, stack_bytes, pin = op
+            outcomes = []
+            for target in (registry, oracle):
+                try:
+                    outcomes.append(
+                        target.spawn(f"t{step}", owner=owner, stack_bytes=stack_bytes, pin_stack=pin)
+                    )
+                except (ThreadLimitError, OutOfMemoryError) as error:
+                    outcomes.append(type(error))
+            if isinstance(outcomes[0], JvmThread):
+                assert isinstance(outcomes[1], JvmThread)
+                pairs.append(tuple(outcomes))
+            else:
+                assert outcomes[0] is outcomes[1]
+        elif kind in ("terminate", "direct_terminate") and pairs:
+            current, reference = pairs[op[1] % len(pairs)]
+            if kind == "direct_terminate":
+                current.terminate()
+                reference.terminate()
+            else:
+                raised = []
+                for target, thread in ((registry, current), (oracle, reference)):
+                    try:
+                        target.terminate(thread)
+                    except KeyError:
+                        raised.append(True)
+                    else:
+                        raised.append(False)
+                assert raised[0] == raised[1]
+        elif kind == "terminate_owned":
+            assert registry.terminate_owned(op[1]) == oracle.terminate_owned(op[1])
+        elif kind == "remove_terminated":
+            assert registry.remove_terminated() == oracle.remove_terminated()
+        _assert_matches_recount(registry, registry_heap, oracle, oracle_heap)

@@ -50,6 +50,7 @@ class TestRegistry:
             "request_path",
             "adaptive_e2e",
             "learning_e2e",
+            "thread_accounting",
         ]:
             assert expected in names
 
@@ -176,6 +177,19 @@ class TestRegistry:
         assert by_name["event_loop"].speedup_vs_seed > 1.0
         assert by_name["woven_dispatch"].speedup_vs_seed > 1.0
         assert by_name["snapshot_sizing"].speedup_vs_seed > 1.0
+
+
+    def test_thread_accounting_sides_read_identical_counts(self):
+        from repro.jvm.threads import ThreadRegistry
+        from repro.perf.benches import _build_thread_registry, _sample_threads
+        from repro.perf.seed_reference import SeedThreadRegistry
+
+        owners = ["home", "cart"]
+        checksums = [
+            _sample_threads(_build_thread_registry(cls, owners, 170), owners, 170, 40)
+            for cls in (ThreadRegistry, SeedThreadRegistry)
+        ]
+        assert checksums[0] == checksums[1] > 0
 
 
 class TestCompareArtifacts:
