@@ -95,9 +95,8 @@ class JvmThread:
         """Terminate the thread (a no-op on an already terminated one)."""
         if self.state is ThreadState.TERMINATED:
             return
-        was_alive = self.state is not ThreadState.NEW
         self.state = ThreadState.TERMINATED
-        if was_alive and self._registry is not None:
+        if self._registry is not None:
             self._registry._retire(self)
 
     @property
