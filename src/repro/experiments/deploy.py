@@ -1,25 +1,28 @@
 """Rolling deploys, canary analysis, staged rollouts and automated rollback.
 
 The continuous-delivery scenario family the sharded cluster makes possible:
-a :class:`DeploymentController` swaps a per-shard :class:`ComponentVersion`
+a :class:`RolloutController` swaps a per-shard :class:`ComponentVersion`
 inside the same outage-window machinery rejuvenation uses (a deploy *is* a
 micro-reboot that comes back up running different code), a
 :class:`CanaryAnalyzer` compares the deployed shards' monitored series
-against the baseline shards (Mann–Kendall trend + growth ratio + an
-SLA-burn delta), and a failed verdict rolls the deployed shards back before
-the rest of the fleet is exposed.
+against the not-yet-deployed baseline shards (Mann–Kendall trend + growth
+ratio + an SLA-burn delta), and a failed verdict rolls the deployed shards
+back before the rest of the fleet is exposed.
 
-Two rollout shapes share the deploy machinery:
+One controller executes every rollout shape.  A :class:`RolloutPlan` names
+its stages explicitly — which shards deploy in which stage, in deploy order
+— and every stage but the last bakes and is ruled by the analyzer; a failed
+stage rolls back *only the deployed shards* (partial rollback), and the
+manager's aging-suspect notification for the deployed component can trigger
+the ruling mid-bake instead of waiting for the fixed deadline (alert-driven
+rollback).  The classic shapes are plain stage lists over ``N`` shards:
 
-- :class:`DeploymentController` executes a :class:`DeploymentPlan` — the
-  classic one-canary-then-fleet pipeline (or a blind staggered rollout).
-- :class:`RolloutController` executes a :class:`RolloutPlan` — progressive
-  delivery over an explicit stage ladder (default 1 → ⌈N/2⌉ → N shards):
-  each stage deploys, bakes, and is ruled by the analyzer against the
-  not-yet-deployed shards; a failed stage rolls back *only the deployed
-  shards* (partial rollback), and the manager's aging-suspect notification
-  for the deployed component can trigger the ruling mid-bake instead of
-  waiting for the fixed deadline (alert-driven rollback).
+- default ladder (``stages=None``): 1 → ⌈N/2⌉ → N shards, counted from the
+  highest shard index down;
+- one canary, then the fleet (:func:`canary_stages`):
+  ``((N-1,), (0, …, N-2))``;
+- blind staggered rollout (:func:`blind_stages`): ``((0, …, N-1),)`` — a
+  single, unruled stage.
 
 Version semantics in the simulation: the servlet *object* stays, what a
 version changes is its fault load — a ``ComponentVersion`` carries the
@@ -36,9 +39,9 @@ identical ruling code path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
 from repro.analysis.trend import mann_kendall
 from repro.baselines.rejuvenation import exposure_seconds
 from repro.core.manager_agent import AGING_SUSPECT_NOTIFICATION
@@ -88,77 +91,57 @@ class ComponentVersion:
                 )
 
 
-@dataclass
-class DeploymentPlan:
-    """How a :class:`ComponentVersion` rolls across the fleet."""
-
-    version: ComponentVersion
-    #: Absolute sim time of the first deploy.
-    start_time: float
-    #: Gap between consecutive shard deploys of a rolling/full rollout.
-    stagger_seconds: float = 60.0
-    #: Outage-window length of each per-shard swap.
-    deploy_downtime_seconds: float = 5.0
-    #: Canary mode: deploy one shard, bake, analyse, then promote or roll
-    #: back.  ``False`` is the blind full rollout.
-    canary: bool = True
-    canary_shard: int = 0
-    #: Seconds the canary bakes before the analyzer rules.
-    bake_seconds: float = 300.0
-
-    def __post_init__(self) -> None:
-        if self.start_time < 0:
-            raise ValueError(f"start_time must be >= 0, got {self.start_time}")
-        if self.stagger_seconds < 0:
-            raise ValueError(f"stagger_seconds must be >= 0, got {self.stagger_seconds}")
-        if self.deploy_downtime_seconds <= 0:
-            raise ValueError(
-                f"deploy_downtime_seconds must be positive, got {self.deploy_downtime_seconds}"
-            )
-        if self.canary and self.bake_seconds <= 0:
-            raise ValueError(f"bake_seconds must be positive, got {self.bake_seconds}")
-        # A negative index would silently wrap to the last shard via
-        # ``cluster.shards[canary_shard]``; the upper bound is checked at
-        # install time, when the shard count is known.
-        if self.canary and self.canary_shard < 0:
-            raise ValueError(
-                f"canary_shard must be >= 0, got {self.canary_shard}"
-            )
+#: Shard indices per stage, each stage in deploy order.
+Stages = Tuple[Tuple[int, ...], ...]
 
 
-def default_stage_ladder(shard_count: int) -> Tuple[int, ...]:
-    """The default progressive ladder: 1 → ⌈N/2⌉ → N shards (deduplicated)."""
+def default_stages(shard_count: int) -> Stages:
+    """The default progressive ladder: 1 → ⌈N/2⌉ → N shards (deduplicated),
+    deploying from the highest shard index down."""
     if shard_count < 2:
         raise ValueError(
             f"a staged rollout needs at least 2 shards "
             f"(one canary stage + a fleet to protect), got {shard_count}"
         )
-    ladder: List[int] = []
+    order = tuple(range(shard_count - 1, -1, -1))
+    stages: List[Tuple[int, ...]] = []
+    previous = 0
     for size in (1, (shard_count + 1) // 2, shard_count):
-        if not ladder or size > ladder[-1]:
-            ladder.append(size)
-    return tuple(ladder)
+        if size > previous:
+            stages.append(order[previous:size])
+            previous = size
+    return tuple(stages)
+
+
+def canary_stages(shard_count: int) -> Stages:
+    """One canary on the last shard, then the rest of the fleet in index order."""
+    return ((shard_count - 1,), tuple(range(shard_count - 1)))
+
+
+def blind_stages(shard_count: int) -> Stages:
+    """Every shard in one unruled stage, in index order."""
+    return (tuple(range(shard_count)),)
 
 
 @dataclass
 class RolloutPlan:
-    """Progressive delivery of a :class:`ComponentVersion` over a stage ladder.
+    """Delivery of a :class:`ComponentVersion` over explicit stages.
 
-    Each entry of :attr:`stage_sizes` is the *cumulative* number of shards
-    running the new build once that stage has deployed; the final entry must
-    equal the fleet size.  ``None`` derives the default 1 → ⌈N/2⌉ → N ladder
+    Each entry of :attr:`stages` is the tuple of shard indices that deploy
+    in that stage, in deploy order; together the stages must name every
+    shard exactly once.  ``None`` derives the default 1 → ⌈N/2⌉ → N ladder
     at install time.  Every non-final stage bakes for
     :attr:`stage_bake_seconds` after its last shard deploys and is then
     ruled by the analyzer against the not-yet-deployed shards; the final
     stage has no baselines left to compare against and simply completes the
-    rollout.
+    rollout (a single-stage plan is a blind rollout).
     """
 
     version: ComponentVersion
     #: Absolute sim time of the first stage's first deploy.
     start_time: float
-    #: Cumulative shard counts per stage; ``None`` uses the default ladder.
-    stage_sizes: Optional[Tuple[int, ...]] = None
+    #: Shard indices deployed per stage; ``None`` uses the default ladder.
+    stages: Optional[Stages] = None
     #: Seconds each non-final stage bakes (after its last shard deploys)
     #: before the analyzer's deadline ruling.
     stage_bake_seconds: float = 300.0
@@ -185,29 +168,32 @@ class RolloutPlan:
             raise ValueError(
                 f"stage_bake_seconds must be positive, got {self.stage_bake_seconds}"
             )
-        if self.stage_sizes is not None:
-            sizes = tuple(int(size) for size in self.stage_sizes)
-            if not sizes:
-                raise ValueError("stage_sizes must not be empty")
-            previous = 0
-            for size in sizes:
-                if size <= previous:
-                    raise ValueError(
-                        f"stage_sizes must be strictly increasing, got {sizes}"
-                    )
-                previous = size
-            self.stage_sizes = sizes
+        if self.stages is not None:
+            stages = tuple(tuple(int(index) for index in stage) for stage in self.stages)
+            if not stages or not all(stages):
+                raise ValueError(f"stages must be non-empty shard tuples, got {stages}")
+            flat = [index for stage in stages for index in stage]
+            # A negative index would silently wrap onto the last shard via
+            # ``cluster.shards[index]``; the upper bound is checked at
+            # install time, when the shard count is known.
+            if min(flat) < 0:
+                raise ValueError(f"stage shard indices must be >= 0, got {stages}")
+            if len(set(flat)) != len(flat):
+                raise ValueError(f"stages must name each shard once, got {stages}")
+            self.stages = stages
 
-    def ladder(self, shard_count: int) -> Tuple[int, ...]:
-        """The resolved cumulative stage ladder for a ``shard_count`` fleet."""
-        if self.stage_sizes is None:
-            return default_stage_ladder(shard_count)
-        if self.stage_sizes[-1] != shard_count:
+    def resolve_stages(self, shard_count: int) -> Stages:
+        """The stages to execute on a ``shard_count`` fleet."""
+        if self.stages is None:
+            return default_stages(shard_count)
+        named = sorted(index for stage in self.stages for index in stage)
+        if named != list(range(shard_count)):
             raise ValueError(
-                f"stage ladder {self.stage_sizes} must end at the fleet size "
+                f"stages {self.stages} must name every shard exactly once "
                 f"(shards: {shard_count})"
             )
-        return self.stage_sizes
+        return self.stages
+
 
 
 @dataclass(frozen=True)
@@ -350,28 +336,6 @@ class CanaryAnalyzer:
         )
         return self.cost_model.score(observation)
 
-    def analyze(
-        self,
-        cluster: "SimulatedCluster",
-        component: str,
-        canary_shard: int,
-        deploy_time: float,
-        now: float,
-    ) -> CanaryVerdict:
-        """Rule on one canary shard baked over ``[deploy_time, now]``."""
-        if not 0 <= canary_shard < len(cluster.shards):
-            raise ValueError(
-                f"canary shard {canary_shard} outside the cluster "
-                f"(shards: {len(cluster.shards)})"
-            )
-        baselines = [s.index for s in cluster.shards if s.index != canary_shard]
-        return self.analyze_stage(
-            LiveClusterSource(cluster),
-            component,
-            [(canary_shard, deploy_time)],
-            baselines,
-            now,
-        )
 
     def analyze_stage(
         self,
@@ -513,48 +477,25 @@ def max_concurrent_deploys(events: Sequence[Dict[str, object]]) -> int:
 
 
 @dataclass
-class DeploymentReport:
+class RolloutReport:
     """Summary of one rollout (for results and reports)."""
 
     version: str
     component: str
-    canary: bool
     events: List[Dict[str, object]]
     rolled_back: bool
     outage_seconds: float
     #: Final shard -> version-label map, in shard order.
     versions: Dict[int, str]
-    verdict: Optional[CanaryVerdict] = None
-
-    def event_rows(self) -> List[Dict[str, object]]:
-        """The event log as printable rows."""
-        return [dict(event) for event in self.events]
-
-    def max_concurrent_deploys(self) -> int:
-        """Most shards simultaneously on the new version."""
-        return max_concurrent_deploys(self.events)
-
-
-@dataclass
-class RolloutReport:
-    """Summary of one staged rollout (field-compatible with
-    :class:`DeploymentReport` where scenario accounting reads them)."""
-
-    version: str
-    component: str
-    events: List[Dict[str, object]]
-    rolled_back: bool
-    outage_seconds: float
-    versions: Dict[int, str]
-    #: The resolved cumulative stage ladder.
+    #: Cumulative shard counts after each stage (e.g. ``(1, 2, 4)``).
     ladder: Tuple[int, ...]
     #: One row per stage that started: deploy/ruling times, trigger, outcome.
     stages: List[Dict[str, object]]
     #: Stage rulings in order (one per ruled stage).
     verdicts: List[CanaryVerdict]
-    #: Whether the final stage deployed (the build reached the whole fleet).
+    #: Whether every shard ended up on the build (the final stage fully
+    #: deployed before the run ended).
     completed: bool
-    canary: bool = True
 
     @property
     def verdict(self) -> Optional[CanaryVerdict]:
@@ -570,21 +511,32 @@ class RolloutReport:
         return max_concurrent_deploys(self.events)
 
 
-class _DeployMachinery:
-    """Shared per-shard swap mechanics of both rollout controllers.
+class RolloutController:
+    """Executes a :class:`RolloutPlan` against a running cluster.
 
-    Each swap reuses the micro-reboot machinery: a component-scoped outage
-    window, the component's retained state cleared and its owned heap
-    reclaimed, then the new version's fault load attached (or detached on
-    rollback).  Every event is appended to :attr:`events` and published to
-    the metrics registry when one is attached.
+    Each per-shard swap reuses the micro-reboot machinery: a
+    component-scoped outage window, the component's retained state cleared
+    and its owned heap reclaimed, then the new version's fault load attached
+    (or detached on rollback).  Every event is appended to :attr:`events`
+    and published to the metrics registry when one is attached.
+
+    Stages deploy in plan order.  Each non-final stage bakes after its last
+    deploy, then the analyzer rules the stage's shards against the
+    not-yet-deployed shards; a failed ruling rolls back *every deployed
+    shard* (the current stage and all promoted ones — partial rollback, the
+    baselines are never touched) at the ruling tick.  With
+    ``alert_rollback`` the deployed shards' managers' aging-suspect
+    notifications for the deployed component trigger the ruling mid-bake;
+    an alert ruling that finds fewer than :data:`MIN_RULING_SAMPLES` samples
+    is ignored (the deadline ruling still happens).  The final stage has no
+    baselines left to rule against and records completion instead.
     """
 
     def __init__(
         self,
         cluster: "SimulatedCluster",
         engine: "SimulationEngine",
-        plan,
+        plan: RolloutPlan,
         registry: Optional["MetricsRegistry"] = None,
         analyzer: Optional[CanaryAnalyzer] = None,
     ) -> None:
@@ -594,19 +546,49 @@ class _DeployMachinery:
         self.registry = registry
         self.analyzer = analyzer or CanaryAnalyzer()
         self.source = LiveClusterSource(cluster)
+        self.stages = plan.resolve_stages(len(cluster.shards))
+        self.ladder = tuple(accumulate(len(stage) for stage in self.stages))
         self.events: List[Dict[str, object]] = []
         self.versions: Dict[int, str] = {
             shard.index: BASELINE_VERSION for shard in cluster.shards
         }
         self.rolled_back = False
         self.outage_seconds = 0.0
+        self.verdicts: List[CanaryVerdict] = []
+        self.stage_rows: List[Dict[str, object]] = []
+        self.completed = False
+        self.aborted = False
         self._attached_faults: Dict[int, List[object]] = {}
         self._deploy_times: Dict[int, float] = {}
+        self._duration = 0.0
+        self._current_stage = -1
+        self._ruled_stages: set = set()
+        #: stage -> (deadline, truncated) of the pending deadline ruling.
+        self._stage_deadline: Dict[int, Tuple[float, bool]] = {}
+        #: stage -> time its last shard deployed (alerts earlier are ignored).
+        self._stage_deployed_at: Dict[int, float] = {}
+        self._listened_shards: set = set()
 
     @property
     def component(self) -> str:
         """The deployed component (read by the metrics registry)."""
         return self.plan.version.component
+
+    # ------------------------------------------------------------------ #
+    def schedule(self, duration: float) -> None:
+        """Schedule the rollout over a run of ``duration`` seconds."""
+        plan = self.plan
+        if plan.start_time >= duration:
+            raise ValueError(
+                f"rollout starts at {plan.start_time} but the run ends at {duration}"
+            )
+        self._duration = float(duration)
+        self.engine.schedule_at(
+            plan.start_time,
+            lambda when=plan.start_time: self._start_stage(0, when),
+            priority=DEPLOY_PRIORITY,
+            name="rollout.stage",
+        )
 
     # ------------------------------------------------------------------ #
     def _record(self, event: Dict[str, object]) -> None:
@@ -623,9 +605,7 @@ class _DeployMachinery:
         shard.deployment.servlet(component).instance_root.clear_references()
         return shard.deployment.runtime.reclaim_owned(component)
 
-    def _deploy(
-        self, shard_index: int, when: float, extra: Optional[Dict[str, object]] = None
-    ) -> None:
+    def _deploy(self, shard_index: int, when: float, stage: int) -> None:
         shard = self.cluster.shards[shard_index]
         version = self.plan.version
         objects, reclaimed = self._swap(shard, when)
@@ -638,25 +618,21 @@ class _DeployMachinery:
         self._attached_faults[shard_index] = attached
         self._deploy_times[shard_index] = when
         self.versions[shard_index] = version.version
-        event: Dict[str, object] = {
-            "time_s": round(when, 6),
-            "shard": shard_index,
-            "action": "deploy",
-            "version": version.version,
-            "component": version.component,
-            "downtime_s": self.plan.deploy_downtime_seconds,
-            "detail": f"reclaimed {reclaimed} B / {objects} objects from the old build",
-        }
-        if extra:
-            event.update(extra)
-        self._record(event)
+        self._record(
+            {
+                "time_s": round(when, 6),
+                "shard": shard_index,
+                "action": "deploy",
+                "version": version.version,
+                "component": version.component,
+                "downtime_s": self.plan.deploy_downtime_seconds,
+                "detail": f"reclaimed {reclaimed} B / {objects} objects from the old build",
+                "stage": stage,
+            }
+        )
 
     def _rollback(
-        self,
-        shard_index: int,
-        when: float,
-        reason: str,
-        extra: Optional[Dict[str, object]] = None,
+        self, shard_index: int, when: float, reason: str, extra: Dict[str, object]
     ) -> None:
         shard = self.cluster.shards[shard_index]
         component = self.plan.version.component
@@ -676,8 +652,7 @@ class _DeployMachinery:
             "downtime_s": self.plan.deploy_downtime_seconds,
             "detail": f"{reason}; reclaimed {reclaimed} B / {objects} objects",
         }
-        if extra:
-            event.update(extra)
+        event.update(extra)
         self._record(event)
 
     def _analysis_payload(
@@ -699,194 +674,6 @@ class _DeployMachinery:
             "verdict": asdict(verdict),
         }
 
-
-class DeploymentController(_DeployMachinery):
-    """Executes a :class:`DeploymentPlan` against a running cluster."""
-
-    def __init__(
-        self,
-        cluster: "SimulatedCluster",
-        engine: "SimulationEngine",
-        plan: DeploymentPlan,
-        registry: Optional["MetricsRegistry"] = None,
-        analyzer: Optional[CanaryAnalyzer] = None,
-    ) -> None:
-        if plan.canary and not 0 <= plan.canary_shard < len(cluster.shards):
-            raise ValueError(
-                f"canary shard {plan.canary_shard} outside the cluster "
-                f"(shards: {len(cluster.shards)})"
-            )
-        super().__init__(cluster, engine, plan, registry=registry, analyzer=analyzer)
-        self.verdict: Optional[CanaryVerdict] = None
-        self._truncated_bake = False
-
-    # ------------------------------------------------------------------ #
-    def schedule(self, duration: float) -> None:
-        """Schedule the rollout's events over a run of ``duration`` seconds."""
-        plan = self.plan
-        if plan.start_time >= duration:
-            raise ValueError(
-                f"rollout starts at {plan.start_time} but the run ends at {duration}"
-            )
-        if plan.canary:
-            self.engine.schedule_at(
-                plan.start_time,
-                lambda when=plan.start_time: self._deploy(plan.canary_shard, when),
-                priority=DEPLOY_PRIORITY,
-                name="deploy.canary",
-            )
-            analyze_at = plan.start_time + plan.bake_seconds
-            if analyze_at > duration:
-                # A bake window extending past the run end used to leave the
-                # canary deployed with no verdict at all; rule at end-of-run
-                # on whatever baked, flagged as truncated.
-                analyze_at = duration
-                self._truncated_bake = True
-            self.engine.schedule_at(
-                analyze_at,
-                lambda when=analyze_at: self._analyze(when),
-                priority=ANALYZE_PRIORITY,
-                name="deploy.analyze",
-            )
-        else:
-            for offset, shard in enumerate(self.cluster.shards):
-                at = plan.start_time + offset * plan.stagger_seconds
-                if at >= duration:
-                    break
-                self.engine.schedule_at(
-                    at,
-                    lambda when=at, index=shard.index: self._deploy(index, when),
-                    priority=DEPLOY_PRIORITY,
-                    name="deploy.rollout",
-                )
-
-    # ------------------------------------------------------------------ #
-    def _analyze(self, when: float) -> None:
-        plan = self.plan
-        deploy_time = self._deploy_times[plan.canary_shard]
-        verdict = self.analyzer.analyze(
-            self.cluster,
-            plan.version.component,
-            plan.canary_shard,
-            deploy_time,
-            when,
-        )
-        if self._truncated_bake:
-            verdict = replace(verdict, truncated_bake=True)
-        self.verdict = verdict
-        baselines = [
-            s.index for s in self.cluster.shards if s.index != plan.canary_shard
-        ]
-        payload = self._analysis_payload(
-            [(plan.canary_shard, deploy_time)], baselines, when, "deadline", verdict
-        )
-        if verdict.promote:
-            self._record(
-                {
-                    "time_s": round(when, 6),
-                    "shard": plan.canary_shard,
-                    "action": "promote",
-                    "version": plan.version.version,
-                    "component": plan.version.component,
-                    "downtime_s": 0.0,
-                    "detail": verdict.reason,
-                    "analysis": payload,
-                }
-            )
-            offset = 1
-            for shard in self.cluster.shards:
-                if shard.index == plan.canary_shard:
-                    continue
-                at = when + offset * plan.stagger_seconds
-                self.engine.schedule_at(
-                    at,
-                    lambda when=at, index=shard.index: self._deploy(index, when),
-                    priority=DEPLOY_PRIORITY,
-                    name="deploy.promote",
-                )
-                offset += 1
-        else:
-            self._rollback(
-                plan.canary_shard, when, verdict.reason, extra={"analysis": payload}
-            )
-
-    # ------------------------------------------------------------------ #
-    def report(self) -> DeploymentReport:
-        """Summarise the rollout."""
-        return DeploymentReport(
-            version=self.plan.version.version,
-            component=self.plan.version.component,
-            canary=self.plan.canary,
-            events=[dict(event) for event in self.events],
-            rolled_back=self.rolled_back,
-            outage_seconds=self.outage_seconds,
-            versions=dict(self.versions),
-            verdict=self.verdict,
-        )
-
-
-class RolloutController(_DeployMachinery):
-    """Executes a :class:`RolloutPlan`: progressive delivery over a ladder.
-
-    Stages deploy from the highest shard index downward (stage 1 of the
-    default ladder is the last shard — the same shard ``fig_canary`` uses
-    as its canary).  Each non-final stage bakes after its last deploy, then
-    the analyzer rules the stage's shards against the not-yet-deployed
-    shards; a failed ruling rolls back *every deployed shard* (the current
-    stage and all promoted ones — partial rollback, the baselines are never
-    touched) at the ruling tick.  With ``alert_rollback`` the deployed
-    shards' managers' aging-suspect notifications for the deployed
-    component trigger the ruling mid-bake; an alert ruling that finds fewer
-    than :data:`MIN_RULING_SAMPLES` samples is ignored (the deadline ruling
-    still happens).  The final stage has no baselines left to rule against
-    and records completion instead.
-    """
-
-    def __init__(
-        self,
-        cluster: "SimulatedCluster",
-        engine: "SimulationEngine",
-        plan: RolloutPlan,
-        registry: Optional["MetricsRegistry"] = None,
-        analyzer: Optional[CanaryAnalyzer] = None,
-    ) -> None:
-        super().__init__(cluster, engine, plan, registry=registry, analyzer=analyzer)
-        self.ladder = plan.ladder(len(cluster.shards))
-        order = [shard.index for shard in reversed(cluster.shards)]
-        self._stage_shards: List[List[int]] = []
-        previous = 0
-        for size in self.ladder:
-            self._stage_shards.append(order[previous:size])
-            previous = size
-        self.verdicts: List[CanaryVerdict] = []
-        self.stage_rows: List[Dict[str, object]] = []
-        self.completed = False
-        self.aborted = False
-        self._duration = 0.0
-        self._current_stage = -1
-        self._ruled_stages: set = set()
-        #: stage -> (deadline, truncated) of the pending deadline ruling.
-        self._stage_deadline: Dict[int, Tuple[float, bool]] = {}
-        #: stage -> time its last shard deployed (alerts earlier are ignored).
-        self._stage_deployed_at: Dict[int, float] = {}
-        self._listened_shards: set = set()
-
-    # ------------------------------------------------------------------ #
-    def schedule(self, duration: float) -> None:
-        """Schedule the staged rollout over a run of ``duration`` seconds."""
-        plan = self.plan
-        if plan.start_time >= duration:
-            raise ValueError(
-                f"rollout starts at {plan.start_time} but the run ends at {duration}"
-            )
-        self._duration = float(duration)
-        self.engine.schedule_at(
-            plan.start_time,
-            lambda when=plan.start_time: self._start_stage(0, when),
-            priority=DEPLOY_PRIORITY,
-            name="rollout.stage",
-        )
-
     # ------------------------------------------------------------------ #
     def _start_stage(self, stage: int, when: float) -> None:
         if self.aborted:
@@ -894,7 +681,7 @@ class RolloutController(_DeployMachinery):
         self._current_stage = stage
         plan = self.plan
         deploys: List[Tuple[int, float]] = []
-        for offset, index in enumerate(self._stage_shards[stage]):
+        for offset, index in enumerate(self.stages[stage]):
             at = when + offset * plan.stagger_seconds
             if at > self._duration:
                 break
@@ -919,7 +706,7 @@ class RolloutController(_DeployMachinery):
                 "deployed_at": round(last_at, 6),
             }
         )
-        if stage == len(self.ladder) - 1:
+        if stage == len(self.stages) - 1:
             # Fully rolled out: no baselines are left to rule against.
             self.engine.schedule_at(
                 last_at,
@@ -945,7 +732,7 @@ class RolloutController(_DeployMachinery):
     def _deploy_stage_shard(self, stage: int, index: int, when: float) -> None:
         if self.aborted:
             return
-        self._deploy(index, when, extra={"stage": stage})
+        self._deploy(index, when, stage)
         if self.plan.alert_rollback:
             self._install_alert_listener(index)
 
@@ -999,7 +786,7 @@ class RolloutController(_DeployMachinery):
         plan = self.plan
         deployed = [
             (index, self._deploy_times[index])
-            for index in self._stage_shards[stage]
+            for index in self.stages[stage]
             if index in self._deploy_times
         ]
         baselines = [
@@ -1067,28 +854,37 @@ class RolloutController(_DeployMachinery):
     def _complete(self, when: float) -> None:
         if self.aborted:
             return
-        self.completed = True
         plan = self.plan
-        self.stage_rows[-1].update({"completed_at": round(when, 6), "promote": True})
+        on_build = sum(1 for v in self.versions.values() if v == plan.version.version)
+        # Final-stage deploys past the run end were never scheduled; a
+        # rollout the run cut short must not claim completion.
+        self.completed = on_build == len(self.cluster.shards)
+        if self.completed:
+            self.stage_rows[-1].update({"completed_at": round(when, 6), "promote": True})
+            action = "complete"
+            detail = f"rollout complete: {on_build} shards on {plan.version.version}"
+        else:
+            action = "incomplete"
+            detail = (
+                f"run ends mid-rollout: {on_build} of {len(self.cluster.shards)} "
+                f"shards on {plan.version.version}"
+            )
         self._record(
             {
                 "time_s": round(when, 6),
-                "shard": self._stage_shards[-1][-1] if self._stage_shards[-1] else -1,
-                "action": "complete",
+                "shard": self.stage_rows[-1]["shards"][-1],
+                "action": action,
                 "version": plan.version.version,
                 "component": plan.version.component,
                 "downtime_s": 0.0,
-                "detail": (
-                    f"rollout complete: {len(self.cluster.shards)} shards on "
-                    f"{plan.version.version}"
-                ),
-                "stage": len(self.ladder) - 1,
+                "detail": detail,
+                "stage": len(self.stages) - 1,
             }
         )
 
     # ------------------------------------------------------------------ #
     def report(self) -> RolloutReport:
-        """Summarise the staged rollout."""
+        """Summarise the rollout."""
         return RolloutReport(
             version=self.plan.version.version,
             component=self.plan.version.component,

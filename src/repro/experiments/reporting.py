@@ -114,6 +114,12 @@ def rows_to_csv(
     return buffer.getvalue()
 
 
+def summary_artifacts(rows: Sequence[Dict[str, object]]) -> Dict[str, str]:
+    """A scenario's summary rows as ``{"markdown", "csv"}`` artifacts
+    (byte-stable per seed)."""
+    return {"markdown": rows_to_markdown(rows), "csv": rows_to_csv(rows)}
+
+
 def downsample_series(series: TimeSeries, points: int = 20) -> List[Dict[str, float]]:
     """Reduce a series to ~``points`` rows for printing."""
     if len(series) == 0:
@@ -335,13 +341,6 @@ def fleet_report(scenario: FleetScenarioResult) -> str:
     return "\n".join(lines)
 
 
-def fleet_report_artifacts(scenario: FleetScenarioResult) -> Dict[str, str]:
-    """Machine-readable per-mode summary of the fleet comparison
-    (``{"markdown", "csv"}``, byte-stable per seed)."""
-    rows = scenario.summary_rows()
-    return {"markdown": rows_to_markdown(rows), "csv": rows_to_csv(rows)}
-
-
 # --------------------------------------------------------------------------- #
 # Canary deployment comparison
 # --------------------------------------------------------------------------- #
@@ -415,13 +414,6 @@ def canary_report(scenario: CanaryScenarioResult) -> str:
         ),
     ]
     return "\n".join(lines)
-
-
-def canary_report_artifacts(scenario: CanaryScenarioResult) -> Dict[str, str]:
-    """Machine-readable per-strategy summary of the canary comparison
-    (``{"markdown", "csv"}``, byte-stable per seed)."""
-    rows = scenario.summary_rows()
-    return {"markdown": rows_to_markdown(rows), "csv": rows_to_csv(rows)}
 
 
 # --------------------------------------------------------------------------- #
@@ -513,13 +505,6 @@ def rollout_report(scenario: RolloutScenarioResult) -> str:
     return "\n".join(lines)
 
 
-def rollout_report_artifacts(scenario: RolloutScenarioResult) -> Dict[str, str]:
-    """Machine-readable per-strategy summary of the rollout comparison
-    (``{"markdown", "csv"}``, byte-stable per seed)."""
-    rows = scenario.summary_rows()
-    return {"markdown": rows_to_markdown(rows), "csv": rows_to_csv(rows)}
-
-
 # --------------------------------------------------------------------------- #
 # Hybrid fluid/discrete scale validation
 # --------------------------------------------------------------------------- #
@@ -559,13 +544,6 @@ def scale_report(scenario: ScaleScenarioResult) -> str:
         ),
     ]
     return "\n".join(lines)
-
-
-def scale_report_artifacts(scenario: ScaleScenarioResult) -> Dict[str, str]:
-    """Machine-readable per-run summary of the scale validation
-    (``{"markdown", "csv"}``, byte-stable per seed)."""
-    rows = scenario.summary_rows()
-    return {"markdown": rows_to_markdown(rows), "csv": rows_to_csv(rows)}
 
 
 # --------------------------------------------------------------------------- #

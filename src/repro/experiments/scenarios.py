@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.baselines.rejuvenation import (
     NoActionPolicy,
@@ -37,9 +37,10 @@ from repro.experiments.deploy import (
     BASELINE_VERSION,
     CanaryVerdict,
     ComponentVersion,
-    DeploymentPlan,
     RolloutPlan,
     RolloutReport,
+    blind_stages,
+    canary_stages,
 )
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
 from repro.faults.injector import FaultSpec
@@ -1988,18 +1989,13 @@ CANARY_VERSION = "v2-leaky"
 
 
 @dataclass
-class CanaryScenarioResult:
-    """Outcome of the three-strategy deployment comparison.
+class _DeployComparison:
+    """Fleet SLA accounting shared by the deploy-strategy comparisons.
 
-    All three runs drive the same seeded workload through the same sharded
-    cluster; only the rollout strategy for the (secretly leaky) v2 build of
-    component A differs: *no-deploy* keeps the baseline everywhere (a
-    control — no feature shipped, no cost), *canary* deploys to one shard,
-    bakes, and lets the :class:`~repro.experiments.deploy.CanaryAnalyzer`
-    decide from the observability plane's shard-level series, *blind* rolls
-    the build to every shard on a stagger with no analysis.  SLA accounting
-    mirrors the fleet scenario: deploy-outage downtime is capacity-weighted,
-    exposure sums each shard's time above the heap danger line.
+    Every mode drives the same seeded workload through the same sharded
+    cluster and differs only in how the (secretly leaky) build rolls out.
+    Deploy-outage downtime is capacity-weighted; exposure sums each shard's
+    time above the heap danger line.
     """
 
     #: Mode -> full experiment result, in comparison order.
@@ -2010,14 +2006,17 @@ class CanaryScenarioResult:
     component: str
     version: str
 
+    #: Whether :meth:`summary_rows` carries the ``max_exposed`` column.
+    _BLAST_RADIUS_COLUMN: ClassVar[bool] = False
+
     def result(self, mode: str) -> ExperimentResult:
         """The run executed under ``mode``."""
         return self.results[mode]
 
-    def verdict(self) -> Optional[CanaryVerdict]:
-        """The canary run's analyzer verdict (None only if analysis never ran)."""
-        rollout = self.results["canary"].rollout
-        return rollout.verdict if rollout is not None else None
+    def max_exposed_shards(self, mode: str) -> int:
+        """Most shards simultaneously on the new build under ``mode``."""
+        rollout = self.results[mode].rollout
+        return rollout.max_concurrent_deploys() if rollout is not None else 0
 
     def deploy_downtime(self, mode: str) -> float:
         """Capacity-weighted deploy-outage seconds (outage time / shards)."""
@@ -2060,6 +2059,57 @@ class CanaryScenarioResult:
         model = cost_model or SlaCostModel()
         return model.score(self.sla_observation(mode))
 
+    def summary_rows(self) -> List[Dict[str, object]]:
+        """One row per mode: rollout outcome, downtime, exposure, SLA cost."""
+        cost_model = SlaCostModel()
+        rows: List[Dict[str, object]] = []
+        for mode, result in self.results.items():
+            rollout = result.rollout
+            observation = self.sla_observation(mode)
+            row: Dict[str, object] = {
+                "mode": mode,
+                "completed": result.completed_requests,
+                "errors": result.error_count,
+                "refused": result.refused_requests,
+                "deploys": (
+                    sum(1 for e in rollout.events if e["action"] == "deploy")
+                    if rollout is not None
+                    else 0
+                ),
+                "rolled_back": rollout.rolled_back if rollout is not None else False,
+            }
+            if self._BLAST_RADIUS_COLUMN:
+                row["max_exposed"] = self.max_exposed_shards(mode)
+            row.update(
+                {
+                    "leaky_shards": self.leaky_shards(mode),
+                    "downtime_s": round(self.deploy_downtime(mode), 2),
+                    "exposure_s": round(self.exposure(mode), 1),
+                    "budget_burn": round(cost_model.budget_burn(observation), 2),
+                    "sla_cost": round(cost_model.score(observation), 1),
+                }
+            )
+            rows.append(row)
+        return rows
+
+
+@dataclass
+class CanaryScenarioResult(_DeployComparison):
+    """Outcome of the three-strategy deployment comparison.
+
+    Only the rollout strategy for the (secretly leaky) v2 build of component
+    A differs: *no-deploy* keeps the baseline everywhere (a control — no
+    feature shipped, no cost), *canary* deploys to one shard, bakes, and
+    lets the :class:`~repro.experiments.deploy.CanaryAnalyzer` decide from
+    the observability plane's shard-level series, *blind* rolls the build to
+    every shard on a stagger with no analysis.
+    """
+
+    def verdict(self) -> Optional[CanaryVerdict]:
+        """The canary run's analyzer verdict (None only if analysis never ran)."""
+        rollout = self.results["canary"].rollout
+        return rollout.verdict if rollout is not None else None
+
     def canary_wins(self) -> bool:
         """Whether canary-then-rollback strictly beats the blind rollout.
 
@@ -2070,34 +2120,6 @@ class CanaryScenarioResult:
         downtime whenever ``shards >= 3``.
         """
         return self.sla_cost("canary") < self.sla_cost("blind")
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: rollout outcome, downtime, exposure, SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            rollout = result.rollout
-            observation = self.sla_observation(mode)
-            rows.append(
-                {
-                    "mode": mode,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "refused": result.refused_requests,
-                    "deploys": (
-                        sum(1 for e in rollout.events if e["action"] == "deploy")
-                        if rollout is not None
-                        else 0
-                    ),
-                    "rolled_back": rollout.rolled_back if rollout is not None else False,
-                    "leaky_shards": self.leaky_shards(mode),
-                    "downtime_s": round(self.deploy_downtime(mode), 2),
-                    "exposure_s": round(self.exposure(mode), 1),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
-                }
-            )
-        return rows
 
 
 def fig_canary(
@@ -2159,16 +2181,16 @@ def fig_canary(
     )
     results: Dict[str, ExperimentResult] = {}
     for mode in CANARY_MODES:
-        rollout: Optional[DeploymentPlan] = None
+        rollout: Optional[RolloutPlan] = None
         if mode != "no-deploy":
-            rollout = DeploymentPlan(
+            rollout = RolloutPlan(
                 version=version,
                 start_time=deploy_start,
+                stages=canary_stages(shards) if mode == "canary" else blind_stages(shards),
+                stage_bake_seconds=bake,
                 stagger_seconds=stagger,
                 deploy_downtime_seconds=deploy_downtime,
-                canary=(mode == "canary"),
-                canary_shard=shards - 1,
-                bake_seconds=bake,
+                alert_rollback=False,
             )
         config = ExperimentConfig(
             name=f"fig-canary-{mode}",
@@ -2216,38 +2238,25 @@ ROLLOUT_ALERT_BAKE_FRACTION = 0.5
 
 
 @dataclass
-class RolloutScenarioResult:
+class RolloutScenarioResult(_DeployComparison):
     """Outcome of the three-strategy progressive-delivery comparison.
 
-    All three runs drive the same seeded workload through the same sharded
-    cluster; only the rollout strategy for the (secretly leaky) v2 build of
-    component A differs: *staged* walks the
+    Only the rollout strategy for the (secretly leaky) v2 build of component
+    A differs: *staged* walks the default
     :class:`~repro.experiments.deploy.RolloutPlan` ladder with per-stage
-    analysis and alert-driven rollback, *single-canary* is PR 8's
-    one-canary-then-fleet :class:`~repro.experiments.deploy.DeploymentPlan`,
-    *blind* staggers the build across every shard with no analysis.  SLA
-    accounting mirrors the canary scenario: deploy-outage downtime is
-    capacity-weighted, exposure sums each shard's time above the heap danger
-    line.
+    analysis and alert-driven rollback, *single-canary* is the
+    one-canary-then-fleet plan, *blind* staggers the build across every
+    shard with no analysis.
     """
 
-    #: Mode -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    duration: float
-    shards: int
-    component: str
-    version: str
     ladder: Tuple[int, ...]
 
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
+    _BLAST_RADIUS_COLUMN: ClassVar[bool] = True
 
     def staged_report(self) -> RolloutReport:
         """The staged run's rollout report."""
         rollout = self.results["staged"].rollout
-        assert isinstance(rollout, RolloutReport)
+        assert rollout is not None
         return rollout
 
     def ruling_trigger(self) -> Optional[str]:
@@ -2266,63 +2275,11 @@ class RolloutScenarioResult:
 
     def deadline_at(self) -> Optional[float]:
         """When the staged run's first stage deadline would have ruled."""
-        report = self.staged_report()
-        stages = report.stages
-        if not stages:
+        stages = self.staged_report().stages
+        plan = self.results["staged"].config.rollout
+        if not stages or plan is None:
             return None
-        bake = None
-        config = self.results["staged"].config
-        if isinstance(config.rollout, RolloutPlan):
-            bake = config.rollout.stage_bake_seconds
-        if bake is None:
-            return None
-        return float(stages[0]["deployed_at"]) + bake
-
-    def max_exposed_shards(self, mode: str = "staged") -> int:
-        """Most shards simultaneously on the new build under ``mode``."""
-        rollout = self.results[mode].rollout
-        return rollout.max_concurrent_deploys() if rollout is not None else 0
-
-    def deploy_downtime(self, mode: str) -> float:
-        """Capacity-weighted deploy-outage seconds (outage time / shards)."""
-        rollout = self.results[mode].rollout
-        if rollout is None:
-            return 0.0
-        return rollout.outage_seconds / self.shards
-
-    def leaky_shards(self, mode: str) -> int:
-        """Shards still running the leaky build at the end of the run."""
-        rollout = self.results[mode].rollout
-        if rollout is None:
-            return 0
-        return sum(1 for v in rollout.versions.values() if v != BASELINE_VERSION)
-
-    def exposure(self, mode: str) -> float:
-        """Summed per-shard seconds above 90 % heap occupancy."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        return sum(
-            exposure_seconds(
-                shard.heap_series(), self.heap_capacity, window_end=self.duration
-            )
-            for shard in result.cluster.shards
-        )
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """The raw fleet-level availability currencies of one mode."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=self.deploy_downtime(mode),
-            exposure_seconds=self.exposure(mode),
-            failed_requests=result.error_count,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar fleet SLA cost of one mode (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
+        return float(stages[0]["deployed_at"]) + plan.stage_bake_seconds
 
     def blast_radius_ok(self) -> bool:
         """Whether the staged run never exposed more than the active stage.
@@ -2345,35 +2302,6 @@ class RolloutScenarioResult:
         single = self.sla_cost("single-canary")
         blind = self.sla_cost("blind")
         return staged <= single <= blind and staged < blind and self.blast_radius_ok()
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: rollout outcome, blast radius, downtime, SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            rollout = result.rollout
-            observation = self.sla_observation(mode)
-            rows.append(
-                {
-                    "mode": mode,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "refused": result.refused_requests,
-                    "deploys": (
-                        sum(1 for e in rollout.events if e["action"] == "deploy")
-                        if rollout is not None
-                        else 0
-                    ),
-                    "rolled_back": rollout.rolled_back if rollout is not None else False,
-                    "max_exposed": self.max_exposed_shards(mode),
-                    "leaky_shards": self.leaky_shards(mode),
-                    "downtime_s": round(self.deploy_downtime(mode), 2),
-                    "exposure_s": round(self.exposure(mode), 1),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
-                }
-            )
-        return rows
 
 
 def fig_rollout(
@@ -2432,37 +2360,22 @@ def fig_rollout(
             ),
         ),
     )
-    ladder = RolloutPlan(version=version, start_time=deploy_start).ladder(shards)
+    stages = {
+        "staged": None,
+        "single-canary": canary_stages(shards),
+        "blind": blind_stages(shards),
+    }
     results: Dict[str, ExperimentResult] = {}
     for mode in ROLLOUT_MODES:
-        rollout: Optional[object] = None
-        if mode == "staged":
-            rollout = RolloutPlan(
-                version=version,
-                start_time=deploy_start,
-                stage_bake_seconds=bake,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                alert_rollback=True,
-            )
-        elif mode == "single-canary":
-            rollout = DeploymentPlan(
-                version=version,
-                start_time=deploy_start,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                canary=True,
-                canary_shard=shards - 1,
-                bake_seconds=bake,
-            )
-        else:
-            rollout = DeploymentPlan(
-                version=version,
-                start_time=deploy_start,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                canary=False,
-            )
+        rollout = RolloutPlan(
+            version=version,
+            start_time=deploy_start,
+            stages=stages[mode],
+            stage_bake_seconds=bake,
+            stagger_seconds=stagger,
+            deploy_downtime_seconds=deploy_downtime,
+            alert_rollback=(mode == "staged"),
+        )
         config = ExperimentConfig(
             name=f"fig-rollout-{mode}",
             seed=seed,
@@ -2492,7 +2405,7 @@ def fig_rollout(
         shards=shards,
         component=COMPONENT_A,
         version=CANARY_VERSION,
-        ladder=ladder,
+        ladder=results["staged"].rollout.ladder,
     )
 
 

@@ -1,5 +1,5 @@
-"""Tests for the deployment controller, canary analyzer and the fig_canary
-scenario (catch + rollback vs. blind rollout)."""
+"""Tests for canary rollouts (a two-stage :class:`RolloutPlan`), the canary
+analyzer and the fig_canary scenario (catch + rollback vs. blind rollout)."""
 
 from __future__ import annotations
 
@@ -12,12 +12,13 @@ from repro.experiments.deploy import (
     BASELINE_VERSION,
     CanaryAnalyzer,
     ComponentVersion,
-    DeploymentPlan,
+    RolloutPlan,
+    blind_stages,
+    canary_stages,
 )
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import (
     CANARY_MODES,
-    COMPONENT_A,
     fig_canary,
 )
 from repro.faults.injector import FaultSpec
@@ -36,31 +37,58 @@ class TestPlanValidation:
     def test_plan_rejects_bad_parameters(self):
         version = ComponentVersion(component="home", version="v2")
         with pytest.raises(ValueError, match="start_time"):
-            DeploymentPlan(version=version, start_time=-1.0)
+            RolloutPlan(version=version, start_time=-1.0)
         with pytest.raises(ValueError, match="deploy_downtime_seconds"):
-            DeploymentPlan(version=version, start_time=0.0, deploy_downtime_seconds=0.0)
-        with pytest.raises(ValueError, match="bake_seconds"):
-            DeploymentPlan(version=version, start_time=0.0, bake_seconds=0.0)
+            RolloutPlan(version=version, start_time=0.0, deploy_downtime_seconds=0.0)
+        with pytest.raises(ValueError, match="stage_bake_seconds"):
+            RolloutPlan(version=version, start_time=0.0, stage_bake_seconds=0.0)
+
+    def test_plan_rejects_malformed_stages(self):
+        version = ComponentVersion(component="home", version="v2")
+        with pytest.raises(ValueError, match="non-empty"):
+            RolloutPlan(version=version, start_time=0.0, stages=())
+        with pytest.raises(ValueError, match="non-empty"):
+            RolloutPlan(version=version, start_time=0.0, stages=((2,), ()))
+        with pytest.raises(ValueError, match="each shard once"):
+            RolloutPlan(version=version, start_time=0.0, stages=((2,), (0, 2)))
 
     def test_analyzer_rejects_trivial_ratio_threshold(self):
         with pytest.raises(ValueError, match="growth_ratio_threshold"):
             CanaryAnalyzer(growth_ratio_threshold=1.0)
 
+    @staticmethod
+    def _unmonitored(stages):
+        return ExperimentConfig(
+            name="unmonitored-rollout",
+            seed=1,
+            scale=PopulationScale.tiny(),
+            constant_ebs=10,
+            duration=30.0,
+            monitored=False,
+            shards=2,
+            rollout=RolloutPlan(
+                version=ComponentVersion(component="home", version="v2"),
+                start_time=5.0,
+                stages=stages,
+                stage_bake_seconds=10.0,
+                stagger_seconds=5.0,
+            ),
+        )
+
     def test_canary_rollout_requires_monitoring(self):
-        version = ComponentVersion(component="home", version="v2")
         with pytest.raises(ValueError, match="monitored"):
-            run_experiment(
-                ExperimentConfig(
-                    name="unmonitored-canary",
-                    seed=1,
-                    scale=PopulationScale.tiny(),
-                    constant_ebs=10,
-                    duration=30.0,
-                    monitored=False,
-                    shards=2,
-                    rollout=DeploymentPlan(version=version, start_time=5.0, bake_seconds=10.0),
-                )
-            )
+            run_experiment(self._unmonitored(canary_stages(2)))
+
+    def test_unmonitored_blind_rollout_runs(self):
+        """A single-stage plan rules nothing, so it needs no monitoring."""
+        rollout = run_experiment(self._unmonitored(blind_stages(2))).rollout
+        assert rollout.completed
+        assert rollout.verdict is None
+        assert [event["action"] for event in rollout.events] == [
+            "deploy",
+            "deploy",
+            "complete",
+        ]
 
 
 class TestHealthyPromotion:
@@ -77,14 +105,14 @@ class TestHealthyPromotion:
             monitored=True,
             shards=3,
             snapshot_interval=5.0,
-            rollout=DeploymentPlan(
+            rollout=RolloutPlan(
                 version=version,
                 start_time=20.0,
+                stages=((2,), (0, 1)),
+                stage_bake_seconds=30.0,
                 stagger_seconds=10.0,
                 deploy_downtime_seconds=1.0,
-                canary=True,
-                canary_shard=2,
-                bake_seconds=30.0,
+                alert_rollback=False,
             ),
         )
         result = run_experiment(config)
@@ -92,10 +120,15 @@ class TestHealthyPromotion:
         assert rollout is not None
         assert rollout.verdict is not None and rollout.verdict.promote
         assert not rollout.rolled_back
+        assert rollout.completed
         assert set(rollout.versions.values()) == {"v2-clean"}
-        actions = [event["action"] for event in rollout.events]
-        assert actions.count("deploy") == 3
-        assert "promote" in actions and "rollback" not in actions
+        assert [(event["action"], event["shard"]) for event in rollout.events] == [
+            ("deploy", 2),
+            ("promote", 2),
+            ("deploy", 0),
+            ("deploy", 1),
+            ("complete", 1),
+        ]
 
 
 class TestFigCanary:
@@ -168,7 +201,8 @@ class TestFigCanary:
 
 
 class TestCanaryEdgeCases:
-    """Regression tests for the three canary edge-case fixes."""
+    """Regression tests for the canary edge cases (index validation, a bake
+    past the run end, a starved bake window)."""
 
     def _config(self, **rollout_kwargs):
         version = rollout_kwargs.pop(
@@ -177,9 +211,9 @@ class TestCanaryEdgeCases:
         defaults = dict(
             version=version,
             start_time=20.0,
-            canary=True,
-            canary_shard=2,
+            stages=((2,), (0, 1)),
             deploy_downtime_seconds=1.0,
+            alert_rollback=False,
         )
         defaults.update(rollout_kwargs)
         return ExperimentConfig(
@@ -191,22 +225,26 @@ class TestCanaryEdgeCases:
             monitored=True,
             shards=3,
             snapshot_interval=5.0,
-            rollout=DeploymentPlan(**defaults),
+            rollout=RolloutPlan(**defaults),
         )
 
-    def test_negative_canary_shard_is_rejected_at_plan_construction(self):
-        """A negative index used to wrap silently onto the last shard."""
+    def test_negative_shard_index_is_rejected_at_plan_construction(self):
+        """A negative index would wrap silently onto the last shard."""
         version = ComponentVersion(component="home", version="v2")
-        with pytest.raises(ValueError, match="canary_shard must be >= 0"):
-            DeploymentPlan(version=version, start_time=0.0, canary=True, canary_shard=-1)
+        with pytest.raises(ValueError, match="indices must be >= 0"):
+            RolloutPlan(version=version, start_time=0.0, stages=((-1,), (0, 1)))
 
-    def test_out_of_range_canary_shard_names_the_shard_count(self):
-        with pytest.raises(ValueError, match=r"canary shard 5 outside the cluster \(shards: 3\)"):
-            run_experiment(self._config(canary_shard=5))
+    def test_out_of_range_shard_index_names_the_shard_count(self):
+        with pytest.raises(ValueError, match=r"exactly once \(shards: 3\)"):
+            run_experiment(self._config(stages=((5,), (0, 1))))
+
+    def test_stages_must_cover_the_fleet(self):
+        with pytest.raises(ValueError, match=r"exactly once \(shards: 3\)"):
+            run_experiment(self._config(stages=((2,), (0,))))
 
     def test_bake_past_run_end_rules_at_end_of_run_as_truncated(self):
         """A bake window past the run end used to leave the canary unruled."""
-        result = run_experiment(self._config(bake_seconds=500.0))
+        result = run_experiment(self._config(stage_bake_seconds=500.0))
         rollout = result.rollout
         assert rollout.verdict is not None
         assert rollout.verdict.truncated_bake
@@ -216,7 +254,7 @@ class TestCanaryEdgeCases:
 
     def test_starved_bake_window_refuses_to_rule_and_rolls_back(self):
         """Fewer than two samples used to promote on no evidence at all."""
-        config = self._config(bake_seconds=4.0)
+        config = self._config(stage_bake_seconds=4.0)
         config.snapshot_interval = 15.0
         result = run_experiment(config)
         rollout = result.rollout

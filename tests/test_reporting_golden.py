@@ -17,13 +17,11 @@ import pytest
 
 from repro.experiments.reporting import (
     canary_report,
-    canary_report_artifacts,
     fleet_report,
-    fleet_report_artifacts,
     rollout_report,
-    rollout_report_artifacts,
     rows_to_csv,
     rows_to_markdown,
+    summary_artifacts,
 )
 from repro.experiments.scenarios import fig_canary, fig_fleet, fig_rollout
 from repro.tpcw.population import PopulationScale
@@ -91,17 +89,17 @@ class TestGoldenSnapshots:
         return fig_rollout(duration_scale=0.02, seed=42, scale=PopulationScale.tiny())
 
     def test_fleet_artifacts_match_golden(self, fleet):
-        artifacts = fleet_report_artifacts(fleet)
+        artifacts = summary_artifacts(fleet.summary_rows())
         assert artifacts["markdown"] == (GOLDEN_DIR / "fleet_summary.md").read_text()
         assert artifacts["csv"] == (GOLDEN_DIR / "fleet_summary.csv").read_text()
 
     def test_canary_artifacts_match_golden(self, canary):
-        artifacts = canary_report_artifacts(canary)
+        artifacts = summary_artifacts(canary.summary_rows())
         assert artifacts["markdown"] == (GOLDEN_DIR / "canary_summary.md").read_text()
         assert artifacts["csv"] == (GOLDEN_DIR / "canary_summary.csv").read_text()
 
     def test_rollout_artifacts_match_golden(self, rollout):
-        artifacts = rollout_report_artifacts(rollout)
+        artifacts = summary_artifacts(rollout.summary_rows())
         assert artifacts["markdown"] == (GOLDEN_DIR / "rollout_summary.md").read_text()
         assert artifacts["csv"] == (GOLDEN_DIR / "rollout_summary.csv").read_text()
 

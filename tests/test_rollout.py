@@ -12,7 +12,7 @@ from repro.experiments.deploy import (
     BASELINE_VERSION,
     ComponentVersion,
     RolloutPlan,
-    default_stage_ladder,
+    default_stages,
 )
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import ROLLOUT_MODES, fig_rollout
@@ -29,30 +29,30 @@ CLEAN = ComponentVersion(component="home", version="v2-clean")
 
 
 class TestLadderAndPlanValidation:
-    def test_default_stage_ladder_is_one_half_all(self):
-        assert default_stage_ladder(4) == (1, 2, 4)
-        assert default_stage_ladder(5) == (1, 3, 5)
-        assert default_stage_ladder(3) == (1, 2, 3)
+    def test_default_stages_are_one_half_all_from_the_top(self):
+        assert default_stages(4) == ((3,), (2,), (1, 0))
+        assert default_stages(5) == ((4,), (3, 2), (1, 0))
+        assert default_stages(3) == ((2,), (1,), (0,))
         # At two shards the half rung collapses into the canary rung.
-        assert default_stage_ladder(2) == (1, 2)
+        assert default_stages(2) == ((1,), (0,))
         with pytest.raises(ValueError, match="at least 2"):
-            default_stage_ladder(1)
+            default_stages(1)
 
     def test_plan_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="start_time"):
             RolloutPlan(version=CLEAN, start_time=-1.0)
         with pytest.raises(ValueError, match="stage_bake_seconds"):
             RolloutPlan(version=CLEAN, start_time=0.0, stage_bake_seconds=0.0)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            RolloutPlan(version=CLEAN, start_time=0.0, stage_sizes=(1, 1, 4))
-        with pytest.raises(ValueError, match="must not be empty"):
-            RolloutPlan(version=CLEAN, start_time=0.0, stage_sizes=())
+        with pytest.raises(ValueError, match="each shard once"):
+            RolloutPlan(version=CLEAN, start_time=0.0, stages=((3,), (3, 2), (1, 0)))
+        with pytest.raises(ValueError, match="non-empty"):
+            RolloutPlan(version=CLEAN, start_time=0.0, stages=())
 
-    def test_ladder_must_end_at_the_fleet_size(self):
-        plan = RolloutPlan(version=CLEAN, start_time=0.0, stage_sizes=(1, 2, 4))
-        assert plan.ladder(4) == (1, 2, 4)
+    def test_stages_must_cover_the_fleet(self):
+        plan = RolloutPlan(version=CLEAN, start_time=0.0, stages=((3,), (2,), (1, 0)))
+        assert plan.resolve_stages(4) == ((3,), (2,), (1, 0))
         with pytest.raises(ValueError, match=r"shards: 5"):
-            plan.ladder(5)
+            plan.resolve_stages(5)
 
 
 class TestHealthyStagedRollout:
@@ -102,6 +102,39 @@ class TestHealthyStagedRollout:
 
     def test_full_promotion_eventually_exposes_the_whole_fleet(self, report):
         assert report.max_concurrent_deploys() == 4
+
+
+class TestRolloutCutShortByRunEnd:
+    """A final stage whose stagger runs past the run end is not complete."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        config = ExperimentConfig(
+            name="blind-cut-short",
+            seed=3,
+            scale=PopulationScale.tiny(),
+            constant_ebs=10,
+            duration=60.0,
+            monitored=False,
+            shards=3,
+            # Deploys fall at 20, 45 and 70 s: the last is past the 60 s end.
+            rollout=RolloutPlan(
+                version=CLEAN,
+                start_time=20.0,
+                stages=((0, 1, 2),),
+                stagger_seconds=25.0,
+                deploy_downtime_seconds=1.0,
+            ),
+        )
+        return run_experiment(config).rollout
+
+    def test_does_not_claim_completion(self, report):
+        assert not report.completed
+        assert report.versions == {0: "v2-clean", 1: "v2-clean", 2: BASELINE_VERSION}
+        last = report.events[-1]
+        assert last["action"] == "incomplete"
+        assert last["detail"] == "run ends mid-rollout: 2 of 3 shards on v2-clean"
+        assert "completed_at" not in report.stages[-1]
 
 
 class TestFigRollout:
