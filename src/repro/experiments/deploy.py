@@ -606,6 +606,8 @@ class RolloutController:
         return shard.deployment.runtime.reclaim_owned(component)
 
     def _deploy(self, shard_index: int, when: float, stage: int) -> None:
+        if self.aborted:
+            return
         shard = self.cluster.shards[shard_index]
         version = self.plan.version
         objects, reclaimed = self._swap(shard, when)
@@ -630,6 +632,8 @@ class RolloutController:
                 "stage": stage,
             }
         )
+        if self.plan.alert_rollback:
+            self._install_alert_listener(shard_index)
 
     def _rollback(
         self, shard_index: int, when: float, reason: str, extra: Dict[str, object]
@@ -688,11 +692,11 @@ class RolloutController:
             deploys.append((index, at))
         for index, at in deploys:
             if at <= when + 1e-12:
-                self._deploy_stage_shard(stage, index, when)
+                self._deploy(index, when, stage)
             else:
                 self.engine.schedule_at(
                     at,
-                    lambda when=at, i=index, k=stage: self._deploy_stage_shard(k, i, when),
+                    lambda when=at, i=index, k=stage: self._deploy(i, when, k),
                     priority=DEPLOY_PRIORITY,
                     name="rollout.deploy",
                 )
@@ -728,13 +732,6 @@ class RolloutController:
             priority=ANALYZE_PRIORITY,
             name="rollout.analyze",
         )
-
-    def _deploy_stage_shard(self, stage: int, index: int, when: float) -> None:
-        if self.aborted:
-            return
-        self._deploy(index, when, stage)
-        if self.plan.alert_rollback:
-            self._install_alert_listener(index)
 
     def _install_alert_listener(self, index: int) -> None:
         shard = self.cluster.shards[index]
