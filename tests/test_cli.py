@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SCENARIO_COMMANDS, build_parser, main
 
 
 class TestCliParser:
@@ -270,3 +271,38 @@ class TestFleetCommand:
         assert "rolling" in out
         assert "simultaneous" in out
         assert "served == issued" in out
+
+
+class TestScenarioGoldens:
+    """Byte-exact stdout and exit code of every scenario command.
+
+    Each golden ``tests/golden/cli_<name>.txt`` is the stdout of
+    ``main([command, *SMOKE_FLAGS, *extra])``.  The test is parametrised
+    over the registry, so a scenario command without a golden fails.  The
+    learning run writes its calibration store to a temporary path, which
+    the test replaces with :data:`STORE_TOKEN` before comparing.
+    """
+
+    GOLDEN_DIR = Path(__file__).parent / "golden"
+    SMOKE_FLAGS = ["--tiny", "--duration-scale", "0.02", "--seed", "42"]
+    STORE_TOKEN = "<STORE>"
+    #: command -> {golden stem: extra flags}; any other command is pinned
+    #: bare, as ``cli_<name>``.
+    VARIANTS = {
+        "mixed": {"cli_mixed": [], "cli_mixed_dual": ["--dual"]},
+        "learning": {"cli_learning": ["--store", STORE_TOKEN]},
+        "fleet": {"cli_fleet": ["--shards", "2"]},
+    }
+
+    @pytest.mark.parametrize("name", [command.name for command in SCENARIO_COMMANDS])
+    def test_stdout_and_exit_code_match_golden(self, name, tmp_path, capsys):
+        store = str(tmp_path / "calibration.json")
+        for stem, extra in self.VARIANTS.get(name, {f"cli_{name}": []}).items():
+            golden = self.GOLDEN_DIR / f"{stem}.txt"
+            assert golden.exists(), f"scenario command {name!r} has no golden {golden.name}"
+            argv = [name, *self.SMOKE_FLAGS] + [
+                store if arg == self.STORE_TOKEN else arg for arg in extra
+            ]
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out.replace(store, self.STORE_TOKEN)
+            assert out == golden.read_text(), f"stdout of {argv} differs from {golden.name}"
