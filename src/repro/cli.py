@@ -4,26 +4,27 @@ A small operational front door so the library can be driven without writing
 Python — useful for the "administrator" persona the paper's External
 Front-end targets::
 
-    python -m repro.cli quickstart                 # install + leak + diagnose
-    python -m repro.cli fig3 --duration-scale 0.1  # overhead experiment
-    python -m repro.cli fig4                       # single-leak experiment
-    python -m repro.cli fig5                       # four identical leaks (+ Fig. 6 map)
-    python -m repro.cli fig7                       # heterogeneous leak sizes
-    python -m repro.cli rejuvenation               # live restarts vs. micro-reboots
-    python -m repro.cli adaptive                   # adaptive policies + SLA cost model
-    python -m repro.cli learning                   # cross-run calibration learning
-    python -m repro.cli environment                # Table I, paper vs. reproduction
+    repro quickstart                  # install + leak + diagnose
+    repro fig3 --duration-scale 0.1   # overhead experiment
+    repro environment                 # Table I, paper vs. reproduction
 
-All experiments run in virtual time; ``--duration-scale`` scales the paper's
-one-hour runs, ``--tiny`` switches to the small test database population.
+Running ``repro`` with no command prints the full registry table: the
+utility commands plus one row of :data:`SCENARIO_COMMANDS` per scenario.
+Every scenario command runs through one generic runner that takes the
+shared ``--seed``/``--duration-scale``/``--tiny`` flags.  All experiments
+run in virtual time; ``--duration-scale`` scales the paper's one-hour runs,
+``--tiny`` switches to the small test database population.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from functools import partial
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._version import __version__
 from repro.experiments.environment import environment_rows
@@ -43,6 +44,7 @@ from repro.experiments.reporting import (
     scale_report,
     zoo_report,
 )
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import (
     fig3_overhead,
     fig4_single_leak,
@@ -106,44 +108,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
     print(framework.frontend.map_report())
     print()
     print(framework.frontend.root_cause_report())
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    result = fig3_overhead(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args)
-    )
-    print(fig3_report(result))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    scenario = fig4_single_leak(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(
-        leak_scenario_report(
-            scenario,
-            title="Fig. 4: injection in component A (100 KB, N=100)",
-            expectation="A grows to MBs, the rest stay flat, A gets 100% responsibility",
-        )
-    )
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    scenario = fig5_multi_leak(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(
-        leak_scenario_report(
-            scenario,
-            title="Fig. 5: 100 KB (N=100) injected in components A, B, C and D",
-            expectation="A and B grow fastest and similarly, C slower, D flat",
-        )
-    )
-    print()
-    print(fig6_report(fig6_manager_map(scenario)))
     return 0
 
 
@@ -231,147 +195,7 @@ def _cmd_bench_compare(old_path: str, new_path: str) -> int:
     return 0
 
 
-def _cmd_rejuvenation(args: argparse.Namespace) -> int:
-    scenario = fig_rejuvenation(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(rejuvenation_report(scenario))
-    return 0
-
-
-def _cmd_adaptive(args: argparse.Namespace) -> int:
-    scenario = fig_adaptive(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(adaptive_report(scenario))
-    return 0
-
-
-def _cmd_mixed(args: argparse.Namespace) -> int:
-    scenario = fig_mixed(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        dual_leak=args.dual,
-    )
-    print(mixed_report(scenario))
-    return 0
-
-
-def _cmd_learning(args: argparse.Namespace) -> int:
-    scenario = fig_learning(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        runs=args.runs,
-        store_path=args.store,
-    )
-    print(learning_report(scenario))
-    return 0
-
-
-def _cmd_zoo(args: argparse.Namespace) -> int:
-    scenario = fig_zoo(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(zoo_report(scenario))
-    return 0
-
-
-def _cmd_storm(args: argparse.Namespace) -> int:
-    scenario = fig_retry_storm(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(retry_storm_report(scenario))
-    return 0 if scenario.cost_delta() > 0 else 1
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    scenario = fig_fleet(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        balancer_policy=args.balancer,
-    )
-    print(fleet_report(scenario))
-    return 0 if scenario.rolling_wins() else 1
-
-
-def _cmd_canary(args: argparse.Namespace) -> int:
-    import json
-
-    scenario = fig_canary(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        stream_metrics=args.stream_metrics,
-    )
-    print(canary_report(scenario))
-    if args.stream_metrics:
-        # The streamed plane must agree with the post-hoc report: the final
-        # JSONL record's counters are the same ledger the report asserts.
-        with open(args.stream_metrics, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line]
-        streamed = json.loads(lines[-1])["counters"]
-        ledger = dict(scenario.results["canary"].accounting)
-        if streamed != ledger:
-            print(
-                "error: streamed final counters disagree with the post-hoc "
-                f"ledger\n  stream: {streamed}\n  ledger: {ledger}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"\nstreamed {len(lines)} metrics records to {args.stream_metrics}; "
-            "final counters match the post-hoc ledger"
-        )
-    return 0 if scenario.canary_wins() else 1
-
-
-def _cmd_rollout(args: argparse.Namespace) -> int:
-    import json
-
-    scenario = fig_rollout(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        stream_metrics=args.stream_metrics,
-    )
-    print(rollout_report(scenario))
-    if args.stream_metrics:
-        # The streamed plane must agree with the post-hoc report: the final
-        # JSONL record's counters are the same ledger the report asserts.
-        with open(args.stream_metrics, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line]
-        streamed = json.loads(lines[-1])["counters"]
-        ledger = dict(scenario.results["staged"].accounting)
-        if streamed != ledger:
-            print(
-                "error: streamed final counters disagree with the post-hoc "
-                f"ledger\n  stream: {streamed}\n  ledger: {ledger}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"\nstreamed {len(lines)} metrics records to {args.stream_metrics}; "
-            "final counters match the post-hoc ledger "
-            "(replay the rulings with: repro replay "
-            f"{args.stream_metrics})"
-        )
-    return 0 if scenario.staged_wins() else 1
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.transports import (
         load_stream,
         recorded_verdicts,
@@ -457,20 +281,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    scenario = fig_scale(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        population_factor=args.population_factor,
-        tracer_fraction=args.tracer_fraction,
-    )
-    print(scale_report(scenario))
-    return 0 if scenario.within_bands() else 1
-
-
 def _cmd_ablate(args: argparse.Namespace) -> int:
     from repro.experiments.ablation import (
         AblationManifest,
@@ -520,137 +330,185 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    scenario = fig7_injection_sizes(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(
-        leak_scenario_report(
-            scenario,
-            title="Fig. 7: A=100 KB, B=10 KB, C=1 MB, D=1 MB (N=100)",
-            expectation="C first, A second, B third, D flat",
-        )
-    )
-    return 0
-
-
 # --------------------------------------------------------------------------- #
 # Scenario registry
 # --------------------------------------------------------------------------- #
+#: One extra scenario flag: ``(flag, add_argument options)``.  Its argparse
+#: ``dest`` is the keyword argument it feeds the scenario function.
+ExtraArg = Tuple[str, Dict[str, Any]]
+
+
+def _shards(default: int) -> ExtraArg:
+    return "--shards", dict(
+        type=int, default=default, help="application-server instances behind the balancer"
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioCommand:
-    """One scenario subcommand: parser shape + handler, in one row.
+    """One scenario subcommand in one row: what it runs, prints and asserts.
 
-    New scenarios plug in by appending a row to :data:`SCENARIO_COMMANDS`
-    (or calling :func:`register_scenario`); the parser builder and the
-    dispatcher never change.
+    The generic runner calls ``scenario(duration_scale=..., seed=...,
+    scale=..., **extra)``, where ``extra`` holds ``--ebs`` (if the row takes
+    it) and every extra argument under its argparse ``dest``; it prints
+    ``report(result)`` and exits 1 when ``verdict(result)`` is false.
     """
 
     name: str
     help: str
-    handler: Callable[[argparse.Namespace], int]
+    scenario: Callable[..., Any]
+    report: Callable[[Any], str]
+    #: Exit-code predicate over the scenario result (``None``: always 0).
+    verdict: Optional[Callable[[Any], bool]] = None
     #: Whether the subcommand takes the shared ``--ebs`` knob.
     include_ebs: bool = True
-    #: Hook adding subcommand-specific arguments to its subparser.
-    extra_args: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    extra_args: Tuple[ExtraArg, ...] = ()
+    #: Mode whose run ``--stream-metrics`` streams to JSONL; the runner exits
+    #: 2 when the stream's final counters disagree with that run's ledger.
+    streamed_mode: Optional[str] = None
 
 
-def _mixed_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--dual",
-        action="store_true",
-        help="dual-leak variant: the same component leaks heap AND connections",
+def _fig5_report(scenario: Any) -> str:
+    leaks = leak_scenario_report(
+        scenario,
+        title="Fig. 5: 100 KB (N=100) injected in components A, B, C and D",
+        expectation="A and B grow fastest and similarly, C slower, D flat",
     )
+    return f"{leaks}\n\n{fig6_report(fig6_manager_map(scenario))}"
 
 
-def _learning_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--runs", type=int, default=4, help="repeated runs per mode (cold/warm)")
-    sub.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="calibration store JSON path (default: a fresh temporary file)",
+def _stream_matches_ledger(path: str, result: ExperimentResult) -> bool:
+    """Whether the final record of the JSONL stream at ``path`` carries the
+    same counters as ``result``'s post-hoc ledger (reported either way)."""
+    with open(path, encoding="utf-8") as handle:
+        lines = [line for line in handle.read().splitlines() if line]
+    streamed = json.loads(lines[-1])["counters"]
+    ledger = dict(result.accounting)
+    if streamed != ledger:
+        print(
+            "error: streamed final counters disagree with the post-hoc "
+            f"ledger\n  stream: {streamed}\n  ledger: {ledger}",
+            file=sys.stderr,
+        )
+        return False
+    print(
+        f"\nstreamed {len(lines)} metrics records to {path}; "
+        "final counters match the post-hoc ledger "
+        f"(replay the rulings with: repro replay {path})"
     )
+    return True
 
 
-def _fleet_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=4, help="application-server instances behind the balancer"
+def _run_scenario(args: argparse.Namespace) -> int:
+    """Run one :data:`SCENARIO_COMMANDS` row from its parsed arguments."""
+    command: ScenarioCommand = args.scenario_command
+    extra = {dest: getattr(args, dest) for dest in args.scenario_kwargs}
+    scenario = command.scenario(
+        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), **extra
     )
-    sub.add_argument(
-        "--balancer",
-        choices=["sticky", "round-robin", "least-occupancy"],
-        default="sticky",
-        help="load-balancer policy",
-    )
-
-
-def _canary_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=3, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--stream-metrics",
-        metavar="PATH",
-        default=None,
-        help="stream observability snapshots of the canary run to a JSONL file",
-    )
-
-
-def _rollout_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=4, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--stream-metrics",
-        metavar="PATH",
-        default=None,
-        help="stream observability snapshots of the staged run to a JSONL "
-        "file (replayable with `repro replay`)",
-    )
-
-
-def _scale_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=2, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--population-factor",
-        type=int,
-        default=100,
-        help="bulk-population multiplier of the scaled hybrid run",
-    )
-    sub.add_argument(
-        "--tracer-fraction",
-        type=float,
-        default=0.02,
-        help="fraction of EBs kept on the discrete servlet/SQL path",
-    )
+    print(command.report(scenario))
+    stream = extra.get("stream_metrics")
+    if stream and not _stream_matches_ledger(stream, scenario.result(command.streamed_mode)):
+        return 2
+    return 0 if command.verdict is None or command.verdict(scenario) else 1
 
 
 SCENARIO_COMMANDS: List[ScenarioCommand] = [
-    ScenarioCommand("fig3", "overhead experiment (monitored vs. unmonitored throughput)", _cmd_fig3, include_ebs=False),
-    ScenarioCommand("fig4", "single-leak experiment", _cmd_fig4),
-    ScenarioCommand("fig5", "four identical leaks (+ the Fig. 6 map)", _cmd_fig5),
-    ScenarioCommand("fig7", "heterogeneous leak sizes", _cmd_fig7),
-    ScenarioCommand("rejuvenation", "live rejuvenation: no action vs. restarts vs. micro-reboots", _cmd_rejuvenation),
-    ScenarioCommand("adaptive", "adaptive rejuvenation & SLA comparison over memory/thread/connection leaks", _cmd_adaptive),
-    ScenarioCommand("mixed", "mixed faults: concurrent heap + connection leaks in different components", _cmd_mixed, extra_args=_mixed_args),
-    ScenarioCommand("learning", "cross-run calibration learning: cold vs. warm-started adaptive", _cmd_learning, extra_args=_learning_args),
-    ScenarioCommand("zoo", "fault zoo: five degradation modes + cascade-aware attribution verdicts", _cmd_zoo),
-    ScenarioCommand("storm", "retry storm: naive immediate retries vs. backoff + circuit breaker", _cmd_storm),
-    ScenarioCommand("fleet", "sharded fleet: rolling vs. simultaneous vs. no-action rejuvenation", _cmd_fleet, extra_args=_fleet_args),
-    ScenarioCommand("canary", "canary deploy of a leaky build: catch + rollback vs. blind rollout", _cmd_canary, extra_args=_canary_args),
-    ScenarioCommand("rollout", "progressive delivery: staged ladder + alert-driven rollback vs. single canary vs. blind", _cmd_rollout, extra_args=_rollout_args),
-    ScenarioCommand("scale", "hybrid fluid/discrete engine: 1x validation bands + scaled population", _cmd_scale, extra_args=_scale_args),
+    ScenarioCommand(
+        "fig3", "overhead experiment (monitored vs. unmonitored throughput)",
+        fig3_overhead, fig3_report, include_ebs=False,
+    ),
+    ScenarioCommand(
+        "fig4", "single-leak experiment", fig4_single_leak,
+        partial(
+            leak_scenario_report,
+            title="Fig. 4: injection in component A (100 KB, N=100)",
+            expectation="A grows to MBs, the rest stay flat, A gets 100% responsibility",
+        ),
+    ),
+    ScenarioCommand("fig5", "four identical leaks (+ the Fig. 6 map)", fig5_multi_leak, _fig5_report),
+    ScenarioCommand(
+        "fig7", "heterogeneous leak sizes", fig7_injection_sizes,
+        partial(
+            leak_scenario_report,
+            title="Fig. 7: A=100 KB, B=10 KB, C=1 MB, D=1 MB (N=100)",
+            expectation="C first, A second, B third, D flat",
+        ),
+    ),
+    ScenarioCommand(
+        "rejuvenation", "live rejuvenation: no action vs. restarts vs. micro-reboots",
+        fig_rejuvenation, rejuvenation_report,
+    ),
+    ScenarioCommand(
+        "adaptive", "adaptive rejuvenation & SLA comparison over memory/thread/connection leaks",
+        fig_adaptive, adaptive_report,
+    ),
+    ScenarioCommand(
+        "mixed", "mixed faults: concurrent heap + connection leaks in different components",
+        fig_mixed, mixed_report,
+        extra_args=(
+            ("--dual", dict(
+                dest="dual_leak", action="store_true",
+                help="dual-leak variant: the same component leaks heap AND connections",
+            )),
+        ),
+    ),
+    ScenarioCommand(
+        "learning", "cross-run calibration learning: cold vs. warm-started adaptive",
+        fig_learning, learning_report,
+        extra_args=(
+            ("--runs", dict(type=int, default=4, help="repeated runs per mode (cold/warm)")),
+            ("--store", dict(
+                dest="store_path", metavar="PATH", default=None,
+                help="calibration store JSON path (default: a fresh temporary file)",
+            )),
+        ),
+    ),
+    ScenarioCommand(
+        "zoo", "fault zoo: five degradation modes + cascade-aware attribution verdicts",
+        fig_zoo, zoo_report,
+    ),
+    ScenarioCommand(
+        "storm", "retry storm: naive immediate retries vs. backoff + circuit breaker",
+        fig_retry_storm, retry_storm_report, verdict=lambda scenario: scenario.cost_delta() > 0,
+    ),
+    ScenarioCommand(
+        "fleet", "sharded fleet: rolling vs. simultaneous vs. no-action rejuvenation",
+        fig_fleet, fleet_report, verdict=methodcaller("rolling_wins"),
+        extra_args=(
+            _shards(4),
+            ("--balancer", dict(
+                dest="balancer_policy", choices=["sticky", "round-robin", "least-occupancy"],
+                default="sticky", help="load-balancer policy",
+            )),
+        ),
+    ),
+    ScenarioCommand(
+        "canary", "canary deploy of a leaky build: catch + rollback vs. blind rollout",
+        fig_canary, canary_report, verdict=methodcaller("canary_wins"),
+        extra_args=(_shards(3),), streamed_mode="canary",
+    ),
+    ScenarioCommand(
+        "rollout",
+        "progressive delivery: staged ladder + alert-driven rollback vs. single canary vs. blind",
+        fig_rollout, rollout_report, verdict=methodcaller("staged_wins"),
+        extra_args=(_shards(4),), streamed_mode="staged",
+    ),
+    ScenarioCommand(
+        "scale", "hybrid fluid/discrete engine: 1x validation bands + scaled population",
+        fig_scale, scale_report, verdict=methodcaller("within_bands"),
+        extra_args=(
+            _shards(2),
+            ("--population-factor", dict(
+                type=int, default=100, help="bulk-population multiplier of the scaled hybrid run",
+            )),
+            ("--tracer-fraction", dict(
+                type=float, default=0.02,
+                help="fraction of EBs kept on the discrete servlet/SQL path",
+            )),
+        ),
+    ),
 ]
-
-
-def register_scenario(command: ScenarioCommand) -> None:
-    """Add a scenario subcommand to the registry (idempotent by name)."""
-    if any(existing.name == command.name for existing in SCENARIO_COMMANDS):
-        raise ValueError(f"scenario command {command.name!r} is already registered")
-    SCENARIO_COMMANDS.append(command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,9 +546,16 @@ def build_parser() -> argparse.ArgumentParser:
     for command in SCENARIO_COMMANDS:
         sub = subparsers.add_parser(command.name, help=command.help)
         add_common(sub, include_ebs=command.include_ebs)
-        if command.extra_args is not None:
-            command.extra_args(sub)
-        sub.set_defaults(handler=command.handler)
+        extra_args = list(command.extra_args)
+        if command.streamed_mode is not None:
+            extra_args.append(("--stream-metrics", dict(
+                metavar="PATH", default=None,
+                help=f"stream observability snapshots of the {command.streamed_mode} "
+                "run to a JSONL file (replayable with `repro replay`)",
+            )))
+        dests = ["ebs"] if command.include_ebs else []
+        dests += [sub.add_argument(flag, **options).dest for flag, options in extra_args]
+        sub.set_defaults(handler=_run_scenario, scenario_command=command, scenario_kwargs=dests)
 
     bench_parser = subparsers.add_parser(
         "bench", help="run the perf microbenchmarks (speedups vs. the seed baseline)"

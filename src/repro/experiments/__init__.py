@@ -5,9 +5,17 @@
 * :mod:`repro.experiments.runner`      -- generic experiment runner: build a
   deployment, optionally install monitoring, inject faults, drive the EB
   workload, and collect every series the figures need.
-* :mod:`repro.experiments.scenarios`   -- one function per figure
-  (Fig. 3 overhead, Fig. 4 single leak, Fig. 5/6 multi leak + map,
-  Fig. 7 heterogeneous injection sizes) plus the ablation scenarios.
+* :mod:`repro.experiments.scenarios`   -- the paper's figures (Fig. 3
+  overhead, Fig. 4 single leak, Fig. 5/6 multi leak + map, Fig. 7
+  heterogeneous injection sizes) and the same-seed comparisons built on
+  them (rejuvenation, adaptive, mixed, learning, retry storm, fault zoo,
+  fleet, canary, rollout, scale).  Every comparison result is a
+  :class:`~repro.experiments.scenarios.ModeComparison`, which owns the one
+  SLA ledger they are all scored on.
+* :mod:`repro.experiments.cluster`     -- the sharded fleet every run goes
+  through; :mod:`repro.experiments.deploy` -- staged rollouts and canaries.
+* :mod:`repro.experiments.ablation`    -- the policy x fault x mechanism x
+  seed matrix behind ``repro ablate``.
 * :mod:`repro.experiments.reporting`   -- text rendering of results and
   paper-vs-measured comparisons.
 """

@@ -31,14 +31,14 @@ from repro.baselines.rejuvenation import (
     TimeBasedRejuvenationPolicy,
 )
 from repro.container.resilience import ResilienceConfig
-from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import (
     RETRY_STORM_TIMEOUT_SECONDS,
     ZOO_FAULT_KINDS,
+    ModeComparison,
     zoo_fault_spec,
 )
 from repro.faults.injector import FaultSpec
-from repro.slo.cost_model import SlaCostModel, SlaObservation
 from repro.tpcw.mixes import PAGE_PRIORITIES
 from repro.tpcw.population import PopulationScale
 
@@ -203,23 +203,6 @@ def default_manifest() -> AblationManifest:
 # --------------------------------------------------------------------------- #
 # Running the matrix
 # --------------------------------------------------------------------------- #
-def _cell_sla_cost(
-    result: ExperimentResult, duration: float, model: SlaCostModel
-) -> Tuple[float, SlaObservation]:
-    rejuvenation = result.rejuvenation
-    observation = SlaObservation(
-        duration_seconds=duration,
-        downtime_seconds=(
-            rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
-        ),
-        exposure_seconds=0.0,
-        failed_requests=result.error_count + result.client_timeouts,
-        refused_requests=result.refused_requests
-        + (rejuvenation.refused_requests if rejuvenation is not None else 0),
-    )
-    return model.score(observation), observation
-
-
 def run_cell(
     manifest: AblationManifest,
     policy: str,
@@ -252,19 +235,19 @@ def run_cell(
     result = run_experiment(config)
     result.deployment = None
     result.framework = None
-    cost, observation = _cell_sla_cost(result, duration, SlaCostModel())
+    cell = ModeComparison(results={policy: result}, duration=duration)
     return {
         "policy": policy,
         "fault": fault,
         "mechanism": mechanism,
         "seed": seed,
-        "sla_cost": cost,
+        "sla_cost": cell.sla_cost(policy),
         "completed": result.completed_requests,
         "errors": result.error_count,
         "timeouts": result.client_timeouts,
         "retries": result.retry_attempts,
         "refused": result.refused_requests,
-        "downtime_s": observation.downtime_seconds,
+        "downtime_s": cell.downtime(policy),
     }
 
 

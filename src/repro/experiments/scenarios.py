@@ -1,4 +1,9 @@
-"""The paper's experiments (Figs. 3-7) plus ablation scenarios.
+"""The paper's experiments (Figs. 3-7), the same-seed comparisons built on
+them, and ablation scenarios.
+
+Every comparison result derives from :class:`ModeComparison`, which owns the
+run lookup and the one SLA ledger all of them are scored on; a subclass
+supplies only its downtime and exposure measurements.
 
 Every scenario takes a ``duration_scale`` so that benchmarks and tests can
 run a faithful-but-shorter version of the paper's one-hour experiments; the
@@ -13,7 +18,9 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from functools import reduce
+from operator import getitem
+from typing import Any, ClassVar, Dict, Hashable, List, Optional, Tuple
 
 from repro.baselines.rejuvenation import (
     NoActionPolicy,
@@ -350,25 +357,78 @@ def fig7_injection_sizes(
     )
 
 
-def run_sla_observation(
-    result: ExperimentResult, duration: float, exposure_seconds: float
-) -> SlaObservation:
-    """Fold one policy run's availability currencies into an :class:`SlaObservation`.
+# --------------------------------------------------------------------------- #
+# Same-seed mode comparisons and their one SLA ledger
+# --------------------------------------------------------------------------- #
+@dataclass
+class ModeComparison:
+    """Same-seed runs that differ in one mode, scored on one SLA ledger.
 
-    Shared by every rejuvenation comparison so downtime/refusal accounting
-    can never diverge between reports: downtime and refusals come from the
-    controller's report (zero without one), failures from the workload's
-    error count, exposure from the caller's resource-specific measurement.
+    ``results`` maps a mode to its run, or nests further (workload ->
+    policy, mode -> run index); every method takes the full key path, so
+    ``sla_cost("memory", "adaptive")`` and ``sla_cost("warm", 0)`` work
+    alike.  Every observation comes from one formula: a failed request is a
+    served error or a client timeout, a refused one is the generator-side
+    count (outage, shed and breaker refusals alike).  :meth:`downtime` and
+    :meth:`exposure` are the only per-scenario parts.
     """
-    rejuvenation = result.rejuvenation
-    return SlaObservation(
-        duration_seconds=duration,
-        downtime_seconds=(
-            rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
-        ),
-        exposure_seconds=exposure_seconds,
-        failed_requests=result.error_count,
-        refused_requests=rejuvenation.refused_requests if rejuvenation is not None else 0,
+
+    results: Dict[str, Any]
+    duration: float
+
+    #: The weights every comparison is scored with.
+    cost_model: ClassVar[SlaCostModel] = SlaCostModel()
+
+    def result(self, *key: Hashable) -> ExperimentResult:
+        """The run at ``key``."""
+        return reduce(getitem, key, self.results)
+
+    def downtime(self, *key: Hashable) -> float:
+        """Seconds of downtime the run's rejuvenation controller paid."""
+        rejuvenation = self.result(*key).rejuvenation
+        return rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
+
+    def exposure(self, *key: Hashable) -> float:
+        """Seconds the run spent in its danger zone (none unless overridden)."""
+        return 0.0
+
+    def sla_observation(self, *key: Hashable) -> SlaObservation:
+        """The raw availability currencies of one run."""
+        result = self.result(*key)
+        return SlaObservation(
+            duration_seconds=self.duration,
+            downtime_seconds=self.downtime(*key),
+            exposure_seconds=self.exposure(*key),
+            failed_requests=result.error_count + result.client_timeouts,
+            refused_requests=result.refused_requests,
+        )
+
+    def sla_cost(self, *key: Hashable) -> float:
+        """Scalar SLA cost of one run (see :mod:`repro.slo.cost_model`)."""
+        return self.cost_model.score(self.sla_observation(*key))
+
+    def sla_columns(self, *key: Hashable) -> Dict[str, float]:
+        """The ``budget_burn`` and ``sla_cost`` summary columns of one run."""
+        observation = self.sla_observation(*key)
+        return {
+            "budget_burn": round(self.cost_model.budget_burn(observation), 2),
+            "sla_cost": round(self.cost_model.score(observation), 1),
+        }
+
+
+def _heap_exposure(result: ExperimentResult, heap_capacity: float, duration: float) -> float:
+    """Seconds a single server's heap spent above 90 % occupancy."""
+    return exposure_seconds(result.heap_series, heap_capacity, window_end=duration)
+
+
+def _shard_heap_exposure(
+    result: ExperimentResult, heap_capacity: float, duration: float
+) -> float:
+    """Summed per-shard seconds above 90 % heap occupancy."""
+    assert result.cluster is not None
+    return sum(
+        exposure_seconds(shard.heap_series(), heap_capacity, window_end=duration)
+        for shard in result.cluster.shards
     )
 
 
@@ -424,49 +484,23 @@ _BASELINE_LIVE_BYTES = 2 * MB
 
 
 @dataclass
-class RejuvenationScenarioResult:
-    """Outcome of the three-policy live rejuvenation comparison."""
+class RejuvenationScenarioResult(ModeComparison):
+    """Outcome of the three-policy live rejuvenation comparison (``results``
+    maps each policy name to its run, in comparison order)."""
 
-    #: Policy name -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
     heap_capacity: float
-    duration: float
     injected_components: Dict[str, int]
-
-    def result(self, policy: str) -> ExperimentResult:
-        """The run executed under ``policy``."""
-        return self.results[policy]
-
-    def downtime_seconds(self, policy: str) -> float:
-        """Total downtime the controller paid under ``policy``."""
-        rejuvenation = self.results[policy].rejuvenation
-        return rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
 
     def exposure(self, policy: str) -> float:
         """Seconds the run spent above 90 % heap occupancy."""
-        return exposure_seconds(
-            self.results[policy].heap_series, self.heap_capacity, window_end=self.duration
-        )
-
-    def sla_observation(self, policy: str) -> SlaObservation:
-        """The raw availability currencies of one policy run."""
-        return run_sla_observation(
-            self.results[policy], self.duration, self.exposure(policy)
-        )
-
-    def sla_cost(self, policy: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar SLA cost of one policy run (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(policy))
+        return _heap_exposure(self.result(policy), self.heap_capacity, self.duration)
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """One row per policy: availability, downtime, exposure and SLA cost."""
-        cost_model = SlaCostModel()
         rows: List[Dict[str, object]] = []
         for name, result in self.results.items():
             rejuvenation = result.rejuvenation
             heap_series = result.heap_series
-            observation = self.sla_observation(name)
             rows.append(
                 {
                     "policy": name,
@@ -474,10 +508,8 @@ class RejuvenationScenarioResult:
                     "errors": result.error_count,
                     "mean_rps": round(result.mean_throughput(), 3),
                     "actions": rejuvenation.actions if rejuvenation is not None else 0,
-                    "downtime_s": round(
-                        rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0, 2
-                    ),
-                    "refused": rejuvenation.refused_requests if rejuvenation is not None else 0,
+                    "downtime_s": round(self.downtime(name), 2),
+                    "refused": result.refused_requests,
                     "reclaimed_mb": round(
                         (rejuvenation.reclaimed_bytes if rejuvenation is not None else 0) / MB, 2
                     ),
@@ -485,8 +517,7 @@ class RejuvenationScenarioResult:
                     "final_heap_mb": round(
                         float(heap_series.values[-1]) / MB if len(heap_series) else 0.0, 2
                     ),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
+                    **self.sla_columns(name),
                 }
             )
         return rows
@@ -602,7 +633,7 @@ _BASELINE_THREADS = 150
 
 
 @dataclass
-class AdaptiveScenarioResult:
+class AdaptiveScenarioResult(ModeComparison):
     """Outcome of the four-policy, three-workload adaptive comparison."""
 
     #: workload -> policy name -> full experiment result.
@@ -611,8 +642,6 @@ class AdaptiveScenarioResult:
     capacities: Dict[str, float]
     #: workload -> the ``"<jvm>"`` metric the channel extrapolates.
     metrics: Dict[str, str]
-    duration: float
-    cost_model: SlaCostModel
     #: workload -> the adaptive policy instance that ran it (predictor stats).
     adaptive_policies: Dict[str, AdaptiveRejuvenationPolicy] = field(default_factory=dict)
     #: workload -> the analytic no-action model derived from the same sizing
@@ -626,10 +655,6 @@ class AdaptiveScenarioResult:
     service_rate: float = 0.0
 
     # ------------------------------------------------------------------ #
-    def result(self, workload: str, policy: str) -> ExperimentResult:
-        """The run of ``policy`` on ``workload``."""
-        return self.results[workload][policy]
-
     def monitored_series(self, workload: str, policy: str):
         """The monitored exhaustion series of one run."""
         result = self.result(workload, policy)
@@ -646,16 +671,6 @@ class AdaptiveScenarioResult:
             window_end=self.duration,
         )
 
-    def sla_observation(self, workload: str, policy: str) -> SlaObservation:
-        """The raw availability currencies of one run."""
-        return run_sla_observation(
-            self.result(workload, policy), self.duration, self.exposure(workload, policy)
-        )
-
-    def sla_cost(self, workload: str, policy: str) -> float:
-        """The scalar SLA cost of one run (lower is better)."""
-        return self.cost_model.score(self.sla_observation(workload, policy))
-
     def best_fixed_cost(self, workload: str) -> float:
         """The best (lowest) SLA cost among the non-adaptive policies."""
         return min(
@@ -671,7 +686,6 @@ class AdaptiveScenarioResult:
         for workload, by_policy in self.results.items():
             for policy, result in by_policy.items():
                 rejuvenation = result.rejuvenation
-                observation = self.sla_observation(workload, policy)
                 rows.append(
                     {
                         "workload": workload,
@@ -679,11 +693,10 @@ class AdaptiveScenarioResult:
                         "completed": result.completed_requests,
                         "errors": result.error_count,
                         "actions": rejuvenation.actions if rejuvenation is not None else 0,
-                        "downtime_s": round(observation.downtime_seconds, 2),
-                        "exposure_s": round(observation.exposure_seconds, 1),
-                        "refused": observation.refused_requests,
-                        "budget_burn": round(self.cost_model.budget_burn(observation), 2),
-                        "sla_cost": round(self.cost_model.score(observation), 1),
+                        "downtime_s": round(self.downtime(workload, policy), 2),
+                        "exposure_s": round(self.exposure(workload, policy), 1),
+                        "refused": result.refused_requests,
+                        **self.sla_columns(workload, policy),
                     }
                 )
         return rows
@@ -783,7 +796,6 @@ def fig_adaptive(
     seed: int = 42,
     scale: Optional[PopulationScale] = None,
     ebs: int = LEAK_EXPERIMENT_EBS,
-    cost_model: Optional[SlaCostModel] = None,
 ) -> AdaptiveScenarioResult:
     """The adaptive rejuvenation & SLA comparison (ISSUE 3 tentpole).
 
@@ -804,7 +816,6 @@ def fig_adaptive(
     duration = 3600.0 * duration_scale
     snapshot_interval = max(2.0, 30.0 * duration_scale)
     visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS
-    cost_model = cost_model or SlaCostModel()
 
     # Memory workload: a *fast-burning* leak — the heap wall is reached about
     # a third of the way through the run (vs. fig_rejuvenation's 3/4), so a
@@ -935,7 +946,6 @@ def fig_adaptive(
         capacities={w: float(spec["capacity"]) for w, spec in workload_specs.items()},
         metrics={w: str(spec["metric"]) for w, spec in workload_specs.items()},
         duration=duration,
-        cost_model=cost_model,
         adaptive_policies=adaptive_policies,
         analytic_models=analytic_models,
         request_rate=request_rate,
@@ -952,7 +962,7 @@ def fig_adaptive(
 # Mixed-fault comparison (two components, two resources at once)
 # --------------------------------------------------------------------------- #
 @dataclass
-class MixedScenarioResult:
+class MixedScenarioResult(ModeComparison):
     """Outcome of the mixed-fault comparison (heap leak + connection leak).
 
     The point under test is *attribution under concurrent faults*: the heap
@@ -960,24 +970,18 @@ class MixedScenarioResult:
     root-cause analysis while the connection channel independently blames
     the connection-leaking component via pool-ownership accounting — the
     two must disagree, and each micro-reboot must recycle its own culprit.
+    ``results`` maps each policy name to its run, in comparison order.
     """
 
-    #: Policy name -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
     heap_capacity: float
     pool_size: int
-    duration: float
     #: component -> leaked resource kind.
     injected: Dict[str, str] = field(default_factory=dict)
-
-    def result(self, policy: str) -> ExperimentResult:
-        """The run executed under ``policy``."""
-        return self.results[policy]
 
     def recycles(self, policy: str) -> Dict[str, Dict[str, int]]:
         """``resource -> component -> executed micro-reboot count``."""
         out: Dict[str, Dict[str, int]] = {}
-        rejuvenation = self.results[policy].rejuvenation
+        rejuvenation = self.result(policy).rejuvenation
         if rejuvenation is None:
             return out
         for event in rejuvenation.events:
@@ -988,19 +992,10 @@ class MixedScenarioResult:
 
     def exposure(self, policy: str) -> float:
         """Seconds the run spent above 90 % heap occupancy."""
-        return exposure_seconds(
-            self.results[policy].heap_series, self.heap_capacity, window_end=self.duration
-        )
-
-    def sla_observation(self, policy: str) -> SlaObservation:
-        """The raw availability currencies of one policy run."""
-        return run_sla_observation(
-            self.results[policy], self.duration, self.exposure(policy)
-        )
+        return _heap_exposure(self.result(policy), self.heap_capacity, self.duration)
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """One row per policy: errors, actions and per-resource attribution."""
-        cost_model = SlaCostModel()
         rows: List[Dict[str, object]] = []
         for name, result in self.results.items():
             rejuvenation = result.rejuvenation
@@ -1023,12 +1018,9 @@ class MixedScenarioResult:
                         )
                     )
                     or "-",
-                    "downtime_s": round(
-                        rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0,
-                        2,
-                    ),
+                    "downtime_s": round(self.downtime(name), 2),
                     "exposure_s": round(self.exposure(name), 1),
-                    "sla_cost": round(cost_model.score(self.sla_observation(name)), 1),
+                    "sla_cost": round(self.sla_cost(name), 1),
                 }
             )
         return rows
@@ -1139,7 +1131,7 @@ LEARNING_MODES = ("cold", "warm")
 
 
 @dataclass
-class LearningScenarioResult:
+class LearningScenarioResult(ModeComparison):
     """Outcome of the cross-run calibration learning comparison.
 
     The same fast-memory-leak workload is run ``runs`` times per mode with
@@ -1155,31 +1147,15 @@ class LearningScenarioResult:
     #: mode -> the adaptive policy instance of each run.
     policies: Dict[str, List[AdaptiveRejuvenationPolicy]]
     heap_capacity: float
-    duration: float
     runs: int
     seed: int
     signature: str
     store_path: str
-    cost_model: SlaCostModel
 
     # ------------------------------------------------------------------ #
     def exposure(self, mode: str, run: int) -> float:
         """Seconds run ``run`` of ``mode`` spent above 90 % heap occupancy."""
-        return exposure_seconds(
-            self.results[mode][run].heap_series,
-            self.heap_capacity,
-            window_end=self.duration,
-        )
-
-    def sla_observation(self, mode: str, run: int) -> SlaObservation:
-        """The raw availability currencies of one run."""
-        return run_sla_observation(
-            self.results[mode][run], self.duration, self.exposure(mode, run)
-        )
-
-    def sla_cost(self, mode: str, run: int) -> float:
-        """The scalar SLA cost of one run (lower is better)."""
-        return self.cost_model.score(self.sla_observation(mode, run))
+        return _heap_exposure(self.result(mode, run), self.heap_capacity, self.duration)
 
     def cumulative_sla_cost(self, mode: str) -> float:
         """Summed SLA cost of ``mode`` over all runs — the headline number."""
@@ -1187,7 +1163,7 @@ class LearningScenarioResult:
 
     def recycles(self, mode: str, run: int) -> int:
         """Executed rejuvenation actions of one run."""
-        rejuvenation = self.results[mode][run].rejuvenation
+        rejuvenation = self.result(mode, run).rejuvenation
         return rejuvenation.actions if rejuvenation is not None else 0
 
     def total_recycles(self, mode: str) -> int:
@@ -1204,9 +1180,8 @@ class LearningScenarioResult:
         rows: List[Dict[str, object]] = []
         for mode in LEARNING_MODES:
             for run in range(self.runs):
-                result = self.results[mode][run]
+                result = self.result(mode, run)
                 policy = self.policies[mode][run]
-                observation = self.sla_observation(mode, run)
                 predictor = (
                     policy.predictor("heap") if "heap" in policy.calibrated_resources() else None
                 )
@@ -1219,8 +1194,8 @@ class LearningScenarioResult:
                         "completed": result.completed_requests,
                         "errors": result.error_count,
                         "recycles": self.recycles(mode, run),
-                        "downtime_s": round(observation.downtime_seconds, 2),
-                        "exposure_s": round(observation.exposure_seconds, 1),
+                        "downtime_s": round(self.downtime(mode, run), 2),
+                        "exposure_s": round(self.exposure(mode, run), 1),
                         "opening_horizon_s": round(self.opening_horizon(mode, run), 1),
                         "final_horizon_s": round(policy.horizon("heap"), 1),
                         "predictions": predictor.stats.count if predictor is not None else 0,
@@ -1254,7 +1229,6 @@ def fig_learning(
     ebs: int = LEAK_EXPERIMENT_EBS,
     runs: int = LEARNING_RUNS,
     store_path: Optional[str] = None,
-    cost_model: Optional[SlaCostModel] = None,
 ) -> LearningScenarioResult:
     """Cross-run calibration learning on the fast memory leak (ISSUE 5).
 
@@ -1282,7 +1256,6 @@ def fig_learning(
     snapshot_interval = max(2.0, 30.0 * duration_scale)
     microreboot_downtime = max(0.25, 2.0 * duration_scale)
     visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS
-    cost_model = cost_model or SlaCostModel()
 
     # The fig_adaptive memory sizing: a fast-burning leak whose no-action
     # wall arrives about a third of the way through the run.
@@ -1364,7 +1337,6 @@ def fig_learning(
         seed=seed,
         signature=signature,
         store_path=store_path,
-        cost_model=cost_model,
     )
 
 
@@ -1500,7 +1472,7 @@ def zoo_fault_spec(kind: str, period_n: int = 10, victim: str = COMPONENT_B) -> 
 
 
 @dataclass
-class RetryStormResult:
+class RetryStormResult(ModeComparison):
     """Outcome of the naive-retry vs. backoff+breaker comparison.
 
     Both runs see the same seed and the same slow-downstream fault; the only
@@ -1509,33 +1481,12 @@ class RetryStormResult:
     retry is another slow call holding a worker thread), while jittered
     backoff plus a circuit breaker converts expensive failed requests into
     cheap, fast client-side refusals — a strictly lower SLA cost.
+    ``results`` maps each mode (``"naive"`` / ``"resilient"``) to its run;
+    a client timeout is a failed page view, a breaker/shed refusal is paid
+    refused load.
     """
 
-    #: Mode name ("naive" / "resilient") -> full experiment result.
-    results: Dict[str, ExperimentResult]
-    duration: float
     timeout_seconds: float
-
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """Availability currencies of one mode: a client timeout is a failed
-        page view, a breaker/shed refusal is paid refused load."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=0.0,
-            exposure_seconds=0.0,
-            failed_requests=result.error_count + result.client_timeouts,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar SLA cost of one mode."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
 
     def cost_delta(self) -> float:
         """``cost(naive) - cost(resilient)`` — positive when resilience pays."""
@@ -1623,26 +1574,20 @@ def fig_retry_storm(
 
 
 @dataclass
-class ZooResult:
+class ZooResult(ModeComparison):
     """Outcome of the fault-zoo sweep: one monitored run per fault kind.
 
     Each run records per-component latency so the post-hoc cascade-aware
     strategy can attribute latency-mode faults (which the resource map
     alone cannot see); the cascade fault additionally checks that the
-    *leaking* component A outranks its merely-slowed victim B.
+    *leaking* component A outranks its merely-slowed victim B.  ``results``
+    maps each fault kind to its run, in :data:`ZOO_FAULT_KINDS` order.
     """
 
-    #: Fault kind -> full experiment result, in :data:`ZOO_FAULT_KINDS` order.
-    results: Dict[str, ExperimentResult]
     #: Fault kind -> post-hoc cascade-aware root-cause report.
     attributions: Dict[str, RootCauseReport]
     injected_component: str
     cascade_victim: str
-    duration: float
-
-    def result(self, kind: str) -> ExperimentResult:
-        """The run executed under fault ``kind``."""
-        return self.results[kind]
 
     def top_component(self, kind: str) -> str:
         """The component the attribution blames for fault ``kind``."""
@@ -1750,7 +1695,7 @@ FLEET_MODES = ("no-action", "simultaneous", "rolling")
 
 
 @dataclass
-class FleetScenarioResult:
+class FleetScenarioResult(ModeComparison):
     """Outcome of the three-mode fleet rejuvenation comparison.
 
     All three runs drive the same seeded workload through the same sharded
@@ -1760,24 +1705,18 @@ class FleetScenarioResult:
     recycle never gets there, a simultaneous restart parks the whole fleet
     below it), *exposure* sums each shard's time above the heap danger line,
     and failures/refusals are the workload's fleet-wide counters.
+    ``results`` maps each mode to its run, in comparison order.
     """
 
-    #: Mode -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
     heap_capacity: float
-    duration: float
     shards: int
     #: Capacity fraction the fleet must keep serving (``(N-1)/N``: one shard
     #: may be down at a time, never two).
     sla_floor: float
 
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
-
-    def below_floor_seconds(self, mode: str) -> float:
+    def downtime(self, mode: str) -> float:
         """Seconds the fleet spent below the SLA capacity floor."""
-        fleet = self.results[mode].fleet
+        fleet = self.result(mode).fleet
         if fleet is None or fleet.rejuvenation is None:
             return 0.0
         windows = fleet.rejuvenation.windows
@@ -1797,7 +1736,7 @@ class FleetScenarioResult:
 
     def min_capacity_fraction(self, mode: str) -> float:
         """The lowest fraction of shards simultaneously serving."""
-        fleet = self.results[mode].fleet
+        fleet = self.result(mode).fleet
         if fleet is None or fleet.rejuvenation is None:
             return 1.0
         windows = fleet.rejuvenation.windows
@@ -1810,30 +1749,7 @@ class FleetScenarioResult:
 
     def exposure(self, mode: str) -> float:
         """Summed per-shard seconds above 90 % heap occupancy."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        return sum(
-            exposure_seconds(
-                shard.heap_series(), self.heap_capacity, window_end=self.duration
-            )
-            for shard in result.cluster.shards
-        )
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """The raw fleet-level availability currencies of one mode."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=self.below_floor_seconds(mode),
-            exposure_seconds=self.exposure(mode),
-            failed_requests=result.error_count,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar fleet SLA cost of one mode (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
+        return _shard_heap_exposure(self.result(mode), self.heap_capacity, self.duration)
 
     def rolling_wins(self) -> bool:
         """Whether rolling rejuvenation wins on fleet SLA cost.
@@ -1852,12 +1768,10 @@ class FleetScenarioResult:
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """One row per mode: fleet capacity, downtime, exposure and SLA cost."""
-        cost_model = SlaCostModel()
         rows: List[Dict[str, object]] = []
         for mode, result in self.results.items():
             fleet = result.fleet
             rejuvenation = fleet.rejuvenation if fleet is not None else None
-            observation = self.sla_observation(mode)
             rows.append(
                 {
                     "mode": mode,
@@ -1869,20 +1783,19 @@ class FleetScenarioResult:
                         rejuvenation.deferred_checks if rejuvenation is not None else 0
                     ),
                     "min_capacity_pct": round(100.0 * self.min_capacity_fraction(mode), 1),
-                    "below_floor_s": round(self.below_floor_seconds(mode), 2),
+                    "below_floor_s": round(self.downtime(mode), 2),
                     "exposure_s": round(self.exposure(mode), 1),
                     "failovers": (
                         fleet.balancer["failovers"] if fleet is not None else 0
                     ),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
+                    **self.sla_columns(mode),
                 }
             )
         return rows
 
     def root_cause_rows(self, mode: str = "no-action") -> List[Dict[str, object]]:
         """The fleet manager's ranked (instance, component) aging rows."""
-        fleet = self.results[mode].fleet
+        fleet = self.result(mode).fleet
         return list(fleet.root_cause_rows) if fleet is not None else []
 
 
@@ -1989,19 +1902,17 @@ CANARY_VERSION = "v2-leaky"
 
 
 @dataclass
-class _DeployComparison:
+class _DeployComparison(ModeComparison):
     """Fleet SLA accounting shared by the deploy-strategy comparisons.
 
     Every mode drives the same seeded workload through the same sharded
     cluster and differs only in how the (secretly leaky) build rolls out.
     Deploy-outage downtime is capacity-weighted; exposure sums each shard's
-    time above the heap danger line.
+    time above the heap danger line.  ``results`` maps each mode to its
+    run, in comparison order.
     """
 
-    #: Mode -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
     heap_capacity: float
-    duration: float
     shards: int
     component: str
     version: str
@@ -2009,63 +1920,34 @@ class _DeployComparison:
     #: Whether :meth:`summary_rows` carries the ``max_exposed`` column.
     _BLAST_RADIUS_COLUMN: ClassVar[bool] = False
 
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
-
     def max_exposed_shards(self, mode: str) -> int:
         """Most shards simultaneously on the new build under ``mode``."""
-        rollout = self.results[mode].rollout
+        rollout = self.result(mode).rollout
         return rollout.max_concurrent_deploys() if rollout is not None else 0
 
-    def deploy_downtime(self, mode: str) -> float:
+    def downtime(self, mode: str) -> float:
         """Capacity-weighted deploy-outage seconds (outage time / shards)."""
-        rollout = self.results[mode].rollout
+        rollout = self.result(mode).rollout
         if rollout is None:
             return 0.0
         return rollout.outage_seconds / self.shards
 
     def leaky_shards(self, mode: str) -> int:
         """Shards still running the leaky build at the end of the run."""
-        rollout = self.results[mode].rollout
+        rollout = self.result(mode).rollout
         if rollout is None:
             return 0
         return sum(1 for v in rollout.versions.values() if v != BASELINE_VERSION)
 
     def exposure(self, mode: str) -> float:
         """Summed per-shard seconds above 90 % heap occupancy."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        return sum(
-            exposure_seconds(
-                shard.heap_series(), self.heap_capacity, window_end=self.duration
-            )
-            for shard in result.cluster.shards
-        )
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """The raw fleet-level availability currencies of one mode."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=self.deploy_downtime(mode),
-            exposure_seconds=self.exposure(mode),
-            failed_requests=result.error_count,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar fleet SLA cost of one mode (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
+        return _shard_heap_exposure(self.result(mode), self.heap_capacity, self.duration)
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """One row per mode: rollout outcome, downtime, exposure, SLA cost."""
-        cost_model = SlaCostModel()
         rows: List[Dict[str, object]] = []
         for mode, result in self.results.items():
             rollout = result.rollout
-            observation = self.sla_observation(mode)
             row: Dict[str, object] = {
                 "mode": mode,
                 "completed": result.completed_requests,
@@ -2083,10 +1965,9 @@ class _DeployComparison:
             row.update(
                 {
                     "leaky_shards": self.leaky_shards(mode),
-                    "downtime_s": round(self.deploy_downtime(mode), 2),
+                    "downtime_s": round(self.downtime(mode), 2),
                     "exposure_s": round(self.exposure(mode), 1),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
+                    **self.sla_columns(mode),
                 }
             )
             rows.append(row)
@@ -2433,7 +2314,7 @@ SCALE_EVENT_REDUCTION_TARGET = 20.0
 
 
 @dataclass
-class ScaleScenarioResult:
+class ScaleScenarioResult(ModeComparison):
     """Outcome of the three-run hybrid scale validation.
 
     The *discrete* and *hybrid* runs drive the identical seeded workload at
@@ -2445,21 +2326,15 @@ class ScaleScenarioResult:
     :data:`SCALE_EVENT_REDUCTION_TARGET` times fewer discrete events than a
     full-discrete run at the same population would (extrapolated linearly
     from the measured 1x event count — discrete event volume is dominated by
-    per-request events and scales with the EB population).
+    per-request events and scales with the EB population).  ``results``
+    maps each mode to its run, in :data:`SCALE_MODES` order.
     """
 
-    #: Mode -> full experiment result, in :data:`SCALE_MODES` order.
-    results: Dict[str, ExperimentResult]
     heap_capacity: float
     scaled_heap_capacity: float
-    duration: float
     shards: int
     ebs: int
     population_factor: int
-
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
 
     def rejuvenation_action_times(self, mode: str) -> List[float]:
         """Sorted action times across every shard's controller."""

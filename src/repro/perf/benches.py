@@ -432,9 +432,9 @@ def bench_rejuvenation_e2e(options: BenchOptions) -> BenchResult:
             scale=PopulationScale.tiny(),
         )
         return {
-            "full_restart_downtime_s": round(scenario.downtime_seconds("time-based"), 2),
+            "full_restart_downtime_s": round(scenario.downtime("time-based"), 2),
             "microreboot_downtime_s": round(
-                scenario.downtime_seconds("proactive-microreboot"), 2
+                scenario.downtime("proactive-microreboot"), 2
             ),
             "no_action_exposure_s": round(scenario.exposure("no-action"), 1),
             "microreboot_exposure_s": round(

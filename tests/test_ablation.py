@@ -13,9 +13,11 @@ from repro.experiments.ablation import (
     default_manifest,
     render_markdown,
     run_ablation,
+    run_cell,
     smoke_manifest,
     write_reports,
 )
+from repro.slo.cost_model import SlaCostModel, SlaObservation
 
 
 class TestAblationManifest:
@@ -207,6 +209,21 @@ class TestRunAblation:
             "policy,fault,mechanism,seed,sla_cost,completed,errors,"
             "timeouts,retries,refused,downtime_s"
         )
+
+    def test_restarting_cell_counts_each_refusal_once(self):
+        # The generator-side ``refused`` already includes the refusals of
+        # the policy's outage windows; the cell's cost must score exactly
+        # the refusals its row reports, not those plus the controller's.
+        manifest = smoke_manifest()
+        row = run_cell(manifest, "time-based", "slow-downstream", "none", 42)
+        assert row["refused"] > 0 and row["downtime_s"] > 0
+        observation = SlaObservation(
+            duration_seconds=3600.0 * manifest.duration_scale,
+            downtime_seconds=row["downtime_s"],
+            failed_requests=row["errors"] + row["timeouts"],
+            refused_requests=row["refused"],
+        )
+        assert row["sla_cost"] == SlaCostModel().score(observation)
 
 
 class TestAblateCli:

@@ -180,7 +180,7 @@ class TestFigCanary:
         assert result.sla_cost("canary") < result.sla_cost("blind")
         # The caught canary pays two outage windows on one shard; the blind
         # rollout pays one on every shard.
-        assert result.deploy_downtime("canary") < result.deploy_downtime("blind")
+        assert result.downtime("canary") < result.downtime("blind")
 
     def test_scenario_is_deterministic_per_seed(self, scenario):
         result, _ = scenario

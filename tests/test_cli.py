@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,36 +192,31 @@ class TestBenchCompareCli:
 
 class TestScenarioRegistry:
     def test_every_registered_scenario_gets_a_subparser(self):
-        from repro.cli import SCENARIO_COMMANDS
-
         parser = build_parser()
         for command in SCENARIO_COMMANDS:
             args = parser.parse_args([command.name])
-            assert args.handler is command.handler
+            assert args.scenario_command is command
             assert args.seed == 42
+            assert args.duration_scale == pytest.approx(0.1)
+            assert not args.tiny
             assert hasattr(args, "ebs") == command.include_ebs
-
-    def test_register_scenario_rejects_duplicate_names(self):
-        from repro.cli import SCENARIO_COMMANDS, ScenarioCommand, register_scenario
-
-        existing = SCENARIO_COMMANDS[0]
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(
-                ScenarioCommand(existing.name, "dup", handler=existing.handler)
-            )
+            assert hasattr(args, "stream_metrics") == (command.streamed_mode is not None)
+            # Every extra flag lands under one of the scenario's keyword names.
+            parameters = inspect.signature(command.scenario).parameters
+            assert set(args.scenario_kwargs) <= set(parameters), command.name
 
     def test_fleet_command_options(self):
         args = build_parser().parse_args(
             ["fleet", "--shards", "2", "--balancer", "round-robin", "--tiny"]
         )
         assert args.shards == 2
-        assert args.balancer == "round-robin"
+        assert args.balancer_policy == "round-robin"
         assert args.tiny
 
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
         assert args.shards == 4
-        assert args.balancer == "sticky"
+        assert args.balancer_policy == "sticky"
 
     def test_ablate_jobs_option(self):
         args = build_parser().parse_args(["ablate", "--jobs", "3"])
@@ -236,6 +233,23 @@ class TestScenarioRegistry:
         defaults = build_parser().parse_args(["canary"])
         assert defaults.shards == 3
         assert defaults.stream_metrics is None
+
+    def test_stream_check_rejects_a_stream_that_disagrees_with_the_ledger(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import _stream_matches_ledger
+
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(
+            json.dumps({"counters": {"issued": 1}}) + "\n"
+            + json.dumps({"counters": {"issued": 5}}) + "\n"
+        )
+        assert _stream_matches_ledger(str(stream), SimpleNamespace(accounting={"issued": 5}))
+        assert "streamed 2 metrics records" in capsys.readouterr().out
+        assert not _stream_matches_ledger(
+            str(stream), SimpleNamespace(accounting={"issued": 4})
+        )
+        assert "disagree with the post-hoc ledger" in capsys.readouterr().err
 
 
 class TestUnknownCommand:

@@ -265,7 +265,7 @@ class TestRollingRejuvenation:
         s = fleet_scenario
         assert s.sla_floor == pytest.approx((s.shards - 1) / s.shards)
         assert s.min_capacity_fraction("rolling") >= s.sla_floor - 1e-12
-        assert s.below_floor_seconds("rolling") == 0.0
+        assert s.downtime("rolling") == 0.0
 
     def test_rolling_recycles_each_shard_exactly_once(self, fleet_scenario):
         fleet = fleet_scenario.results["rolling"].fleet
@@ -280,7 +280,7 @@ class TestRollingRejuvenation:
     def test_simultaneous_mode_blacks_out_the_fleet(self, fleet_scenario):
         s = fleet_scenario
         assert s.min_capacity_fraction("simultaneous") == 0.0
-        assert s.below_floor_seconds("simultaneous") > 0.0
+        assert s.downtime("simultaneous") > 0.0
 
     def test_rolling_wins_on_fleet_sla_cost(self, fleet_scenario):
         s = fleet_scenario

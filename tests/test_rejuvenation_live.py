@@ -26,7 +26,13 @@ from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.core.rejuvenation import RejuvenationController
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.reporting import rejuvenation_report
-from repro.experiments.scenarios import COMPONENT_A, fig_rejuvenation
+from repro.experiments.scenarios import (
+    COMPONENT_A,
+    fig_adaptive,
+    fig_learning,
+    fig_mixed,
+    fig_rejuvenation,
+)
 from repro.sim.engine import SimulationEngine
 from repro.tpcw.application import build_deployment
 from repro.tpcw.population import PopulationScale
@@ -243,8 +249,8 @@ class TestRejuvenationScenario:
         return fig_rejuvenation(duration_scale=0.02, seed=42, scale=TINY)
 
     def test_microreboot_downtime_beats_full_restart(self, scenario):
-        micro = scenario.downtime_seconds("proactive-microreboot")
-        full = scenario.downtime_seconds("time-based")
+        micro = scenario.downtime("proactive-microreboot")
+        full = scenario.downtime("time-based")
         assert scenario.results["time-based"].rejuvenation.actions >= 1
         assert scenario.results["proactive-microreboot"].rejuvenation.actions >= 1
         assert micro < full
@@ -274,6 +280,28 @@ class TestRejuvenationScenario:
     def test_scenario_is_deterministic(self, scenario):
         again = fig_rejuvenation(duration_scale=0.02, seed=42, scale=TINY)
         assert again.summary_rows() == scenario.summary_rows()
+
+    def test_generator_refusals_equal_controller_refusals(self, scenario, tmp_path):
+        """The shared SLA ledger scores the generator-side refusal count and
+        ``error_count + client_timeouts``.  Without a resilience config both
+        must equal what the controller-side ledger reports, over every run
+        the CLI goldens execute for the single-server rejuvenation family."""
+        settings = dict(duration_scale=0.02, seed=42, scale=TINY)
+        results = list(scenario.results.values())
+        for by_policy in fig_adaptive(**settings).results.values():
+            results += by_policy.values()
+        for dual_leak in (False, True):
+            results += fig_mixed(dual_leak=dual_leak, **settings).results.values()
+        store = str(tmp_path / "calibration.json")
+        for runs in fig_learning(store_path=store, **settings).results.values():
+            results += runs
+        assert len(results) == 3 + 12 + 2 * 3 + 2 * 4
+        for result in results:
+            assert result.config.resilience is None
+            controller = result.rejuvenation
+            controller_refused = controller.refused_requests if controller is not None else 0
+            assert result.refused_requests == controller_refused, result.config.name
+            assert result.client_timeouts == 0, result.config.name
 
     def test_report_renders(self, scenario):
         text = rejuvenation_report(scenario)

@@ -109,6 +109,14 @@ class TestGoldenSnapshots:
     def test_rollout_report_matches_golden(self, rollout):
         assert rollout_report(rollout) + "\n" == (GOLDEN_DIR / "rollout_report.txt").read_text()
 
+    def test_no_client_timeouts_without_resilience(self, fleet, canary, rollout):
+        # The shared SLA ledger counts client timeouts as failed requests;
+        # these comparisons run no client stack, so there must be none.
+        for scenario in (fleet, canary, rollout):
+            for result in scenario.results.values():
+                assert result.config.resilience is None
+                assert result.client_timeouts == 0, result.config.name
+
     def test_fleet_report_renders_over_the_same_run(self, fleet):
         text = fleet_report(fleet)
         assert "Fleet rejuvenation at 2 shards" in text
