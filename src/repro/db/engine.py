@@ -10,8 +10,11 @@ shows up in TPC-W response times without any real I/O.
 
 from __future__ import annotations
 
+import fnmatch
+import functools
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.db.sql import (
     Aggregate,
@@ -28,6 +31,17 @@ from repro.db.sql import (
     parse_sql,
 )
 from repro.db.table import Column, Table
+
+
+#: Compiled LIKE matchers kept (one per distinct pattern string), bounded
+#: like the plan cache: the servlets use a handful of search patterns.
+_LIKE_CACHE_LIMIT = 512
+
+
+@functools.lru_cache(maxsize=_LIKE_CACHE_LIMIT)
+def _like_matcher(pattern: str) -> Callable[[str], Any]:
+    """``re.match`` of one LIKE pattern, compiled exactly as ``fnmatchcase`` does."""
+    return re.compile(fnmatch.translate(pattern.replace("%", "*").replace("_", "?"))).match
 
 
 class SqlExecutionError(RuntimeError):
@@ -189,12 +203,10 @@ class Database:
 
     @staticmethod
     def _like_match(value: Any, pattern: Any) -> bool:
+        """SQL ``LIKE`` as ``fnmatch.fnmatchcase`` with ``%``→``*``, ``_``→``?``."""
         if value is None or pattern is None:
             return False
-        import fnmatch
-
-        translated = str(pattern).replace("%", "*").replace("_", "?")
-        return fnmatch.fnmatchcase(str(value), translated)
+        return _like_matcher(str(pattern))(str(value)) is not None
 
     @classmethod
     def _compare(cls, op: str, left: Any, right: Any) -> bool:
@@ -225,13 +237,6 @@ class Database:
     # ------------------------------------------------------------------ #
     # SELECT
     # ------------------------------------------------------------------ #
-    #: Legacy knob kept for the preserved seed-reference subclass and older
-    #: tests: PR 3's hand-rolled single-table fast path dispatched on it.
-    #: The compiled planner now covers every SELECT shape through one path
-    #: (with identical rows and accounting — the fast-path equivalence tests
-    #: assert it), so the flag no longer selects anything.
-    select_fastpath_enabled = True
-
     def _execute_select(self, statement: SelectStatement, params: Sequence[Any]) -> QueryResult:
         return self._execute_select_generic(statement, params)
 

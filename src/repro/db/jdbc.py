@@ -30,33 +30,37 @@ class ConnectionPoolExhaustedError(SQLError):
 
 
 class ResultSet:
-    """Forward-only cursor over a query result."""
+    """Forward-only cursor over a query result.
+
+    ``next()`` keeps the current row in a slot, so ``get`` is one dict
+    lookup.  The cursor never moves past the last row: after ``next()``
+    returns ``False``, ``get`` still reads the last row.
+    """
 
     def __init__(self, result: QueryResult) -> None:
         self._rows = result.rows
         self._index = -1
+        self._row: Optional[Dict[str, Any]] = None
         self.cost_seconds = result.cost_seconds
 
     def next(self) -> bool:
         """Advance to the next row; returns ``False`` past the end."""
-        if self._index + 1 >= len(self._rows):
+        index = self._index + 1
+        if index >= len(self._rows):
             return False
-        self._index += 1
+        self._index = index
+        self._row = self._rows[index]
         return True
-
-    def _current(self) -> Dict[str, Any]:
-        if self._index < 0:
-            raise SQLError("ResultSet.next() has not been called")
-        if self._index >= len(self._rows):
-            raise SQLError("ResultSet is exhausted")
-        return self._rows[self._index]
 
     def get(self, column: str) -> Any:
         """Value of ``column`` in the current row."""
-        row = self._current()
-        if column not in row:
-            raise SQLError(f"result has no column {column!r} (columns: {sorted(row)})")
-        return row[column]
+        row = self._row
+        if row is None:
+            raise SQLError("ResultSet.next() has not been called")
+        try:
+            return row[column]
+        except KeyError:
+            raise SQLError(f"result has no column {column!r} (columns: {sorted(row)})") from None
 
     def get_int(self, column: str) -> int:
         """Integer value of ``column`` (NULL maps to 0, JDBC-style)."""

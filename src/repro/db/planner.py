@@ -24,9 +24,22 @@ Operator highlights:
 * **Lazy hash-index joins** — join/WHERE equality columns without a declared
   index get an auto-maintained hash index built on first demand
   (:meth:`repro.db.table.Table.ensure_hash_index`).
-* **Compiled row functions** — projections, group keys, filters and order
-  keys are generated as tiny lambdas over the execution rows, so the
-  per-row inner loops carry no interpretive dispatch.
+* **Compiled row functions** — projections, group keys and order keys are
+  generated as tiny lambdas over the execution rows, so the per-row inner
+  loops carry no interpretive dispatch.
+* **Fused join loop with predicate pushdown** — every plan's joins and
+  WHERE residual compile into one generated function: nested straight-line
+  code per join step (PK probe, declared-index probe, lazy-index probe or
+  literal scan), local accounting counters, and each residual conjunct
+  evaluated at the innermost join level that binds all of its columns.
+  Two rules keep that exact.  A conjunct moves up only if neither it nor
+  any conjunct before it in WHERE order can raise (``=``, ``!=`` and
+  ``LIKE`` cannot; the inequalities can), so the interpreter's first error
+  is neither pre-empted nor suppressed.  And it moves only to a level after
+  which every join step is a primary-key probe: a row it rejects is still
+  charged for the probes the interpreter would have run, by a count-only
+  chain (``index_lookups += 1`` per probe, ``rows_scanned += 1`` per hit,
+  no tuple built) — exactly the work the skipped steps would have counted.
 
 **Cost-model neutrality.**  The engine's simulated latency model charges the
 *declared* access plan (what the paper-era MySQL would have done with the
@@ -94,6 +107,11 @@ class _JoinStep:
         #: (``None`` when the join column does not exist — then the
         #: interpreter's ``row.get`` scan semantics are reproduced literally).
         self.lazy_index = lazy_index
+
+    @property
+    def is_pk_probe(self) -> bool:
+        """Declared primary-key probe: at most one match per outer row."""
+        return self.use_index and self.new_name == self.table.primary_key
 
 
 class CompiledSelect:
@@ -211,70 +229,82 @@ class CompiledSelect:
         self.joined = bool(self.join_steps)
         self._joined_layout = self.joined  # row tuples vs. plain row dicts
 
-        # Residual filters -> one compiled predicate.  Parameters/literals
-        # are bound per execution into the ``bound`` tuple.  SQL three-valued
-        # ``=``/``!=`` collapse exactly to Python ``==``/``!=`` over the
-        # engine's value universe (NULL compares equal only to NULL);
-        # inequalities and LIKE keep the interpreter's helpers for the
-        # NULL-guard and pattern semantics.
+        # Residual filters -> conjunct source terms over the loop's per-level
+        # row variables ``r0..rn``.  Parameters/literals are bound once per
+        # execution into ``b<i>`` locals.  SQL three-valued ``=``/``!=``
+        # collapse exactly to Python ``==``/``!=`` over the engine's value
+        # universe (NULL compares equal only to NULL); inequalities and LIKE
+        # keep the interpreter's helpers for the NULL-guard and pattern
+        # semantics.  Each conjunct records the join level binding all of
+        # its columns and whether it can raise (only the ``_cmp``
+        # inequalities can: ``'a' < 1`` is a TypeError).
         self._residual_nodes: List[Any] = []  # rhs nodes bound per execution
-        predicate_terms: List[str] = []
+        conjuncts: List[Tuple[str, int, bool]] = []  # (term, level, can_raise)
         lazy_candidates: List[Tuple[str, Any, int]] = []
         for condition in residual:
-            lhs_qualifier = resolve_qualifier(condition.lhs)
-            lhs_expr = self._accessor(positions[lhs_qualifier], condition.lhs.name)
+            lhs_pos = positions[resolve_qualifier(condition.lhs)]
+            lhs_expr = f"r{lhs_pos}[{condition.lhs.name!r}]"
+            level = lhs_pos
             if isinstance(condition.rhs, ColumnRef):
-                rhs_qualifier = resolve_qualifier(condition.rhs)
-                rhs_expr = self._accessor(positions[rhs_qualifier], condition.rhs.name)
+                rhs_pos = positions[resolve_qualifier(condition.rhs)]
+                rhs_expr = f"r{rhs_pos}[{condition.rhs.name!r}]"
+                level = max(level, rhs_pos)
                 bound_index = None
             else:
                 bound_index = len(self._residual_nodes)
                 self._residual_nodes.append(condition.rhs)
-                rhs_expr = f"bound[{bound_index}]"
+                rhs_expr = f"b{bound_index}"
+            can_raise = False
             if condition.op == "=":
-                predicate_terms.append(f"({lhs_expr} == {rhs_expr})")
+                term = f"{lhs_expr} == {rhs_expr}"
                 if bound_index is not None and base_table.has_column(condition.lhs.name):
-                    lazy_candidates.append(
-                        (condition.lhs.name, condition.rhs, len(predicate_terms) - 1)
-                    )
+                    lazy_candidates.append((condition.lhs.name, condition.rhs, len(conjuncts)))
             elif condition.op == "!=":
-                predicate_terms.append(f"({lhs_expr} != {rhs_expr})")
+                term = f"{lhs_expr} != {rhs_expr}"
             elif condition.op == "LIKE":
-                predicate_terms.append(f"_like({lhs_expr}, {rhs_expr})")
+                term = f"_like({lhs_expr}, {rhs_expr})"
             else:
-                predicate_terms.append(f"_cmp({condition.op!r}, {lhs_expr}, {rhs_expr})")
+                term = f"_cmp({condition.op!r}, {lhs_expr}, {rhs_expr})"
+                can_raise = True
+            conjuncts.append((term, level, can_raise))
 
         # Lazy single-table acceleration: equality residuals on an unindexed
         # column probe a planner hash index instead of scanning — but only
         # when there are no joins (pre-filtering the outer side would change
         # the interpreter's join scan accounting) and no declared-index
         # conditions (those dictate the interpreter's candidate iteration
-        # order, which the residual predicate preserves more cheaply).
+        # order, which the residual filter preserves more cheaply).  The
+        # consumed equalities leave the loop's filter.
         self.lazy_base_lookups: List[Tuple[_SecondaryIndex, Any]] = []
-        remaining_terms = predicate_terms
         if not self.joined and not self.index_conditions and lazy_candidates:
             consumed = set()
-            for column_name, rhs_node, term_index in lazy_candidates:
+            for column_name, rhs_node, conjunct_index in lazy_candidates:
                 self.lazy_base_lookups.append(
                     (base_table.ensure_hash_index(column_name), rhs_node)
                 )
-                consumed.add(term_index)
-            remaining_terms = [
-                term for index, term in enumerate(predicate_terms) if index not in consumed
-            ]
+                consumed.add(conjunct_index)
+            conjuncts = [c for index, c in enumerate(conjuncts) if index not in consumed]
 
-        def make_predicate(terms: List[str]) -> Optional[Callable]:
-            if not terms:
-                return None
-            namespace = {"_cmp": self._compare, "_like": database._like_match}
-            return self._make_fn(f"lambda row, bound: {' and '.join(terms)}", namespace)
-
-        #: Full residual predicate (used on declared-index / scan bases).
-        self._predicate = make_predicate(predicate_terms)
-        #: Residual predicate minus the index-consumed equalities (used when
-        #: the base row set came from the lazy hash-index lookups).
-        self._lazy_predicate = (
-            make_predicate(remaining_terms) if self.lazy_base_lookups else None
+        # Pushdown placement.  A conjunct may leave the innermost level only
+        # if neither it nor any conjunct before it (WHERE order) can raise —
+        # then evaluating it early can neither pre-empt nor suppress the
+        # interpreter's first error.  And it may only run where every later
+        # join step is a primary-key probe, so a rejected row's skipped work
+        # is charged by a cheap count-only probe chain.
+        innermost = len(self.join_steps)
+        pk_tail_from = max(
+            (k for k, step in enumerate(self.join_steps, 1) if not step.is_pk_probe),
+            default=0,
+        )
+        #: Loop level at which each filter conjunct is evaluated (WHERE
+        #: order); a level below ``len(join_steps)`` is a pushed conjunct.
+        self.conjunct_levels: List[int] = []
+        movable = True
+        for _term, level, can_raise in conjuncts:
+            movable = movable and not can_raise
+            self.conjunct_levels.append(max(level, pk_tail_from) if movable else innermost)
+        self._run = self._compile_join_loop(
+            [term for term, _, _ in conjuncts], database._like_match
         )
 
         # Projection.
@@ -420,6 +450,122 @@ class CompiledSelect:
                 body = ", ".join(f"{name}(row)" for name in fns)
                 self._topk_key = self._make_fn(f"lambda row: ({body})", dict(fns))
 
+    def _compile_join_loop(
+        self, terms: List[str], like_match: Callable
+    ) -> Optional[Callable]:
+        """Code-generate the fused join + filter loop of this plan.
+
+        ``None`` when there is neither a join nor a filter to run.
+        Otherwise ``_run(rows, bound)`` walks the base rows through every
+        join step as nested straight-line code and returns ``(filtered,
+        scanned, index_lookups)`` for the join and filter stages: the
+        surviving execution rows (row dicts without joins, row tuples with
+        them) in the interpreter's nested-loop order, plus the accounting of
+        the join probes.  Each conjunct runs at its :attr:`conjunct_levels` level; a
+        row rejected below the innermost level runs the count-only probe
+        chain over the remaining (primary-key) steps before moving on.
+        """
+        steps = self.join_steps
+        innermost = len(steps)
+        if not steps and not terms:
+            return None
+        namespace: Dict[str, Any] = {"_cmp": self._compare, "_like": like_match}
+        lines = [
+            "def _run(rows, bound):",
+            "    scanned = 0",
+            "    lookups = 0",
+            "    out = []",
+            "    append = out.append",
+        ]
+        lines += [f"    b{i} = bound[{i}]" for i in range(len(self._residual_nodes))]
+        for k, step in enumerate(steps, 1):
+            namespace[f"_t{k}"] = step.table
+            lines.append(f"    st{k} = _t{k}._rows")
+            if step.is_pk_probe:
+                lines.append(f"    pk{k} = _t{k}._pk_index.get")
+            elif step.use_index:
+                lines.append(f"    lk{k} = _t{k}.lookup_ids")
+            elif step.lazy_index is not None:
+                namespace[f"_x{k}"] = step.lazy_index
+                lines.append(f"    bk{k} = _x{k}._buckets.get")
+                lines.append(f"    n{k} = len(st{k})")
+            else:
+                lines.append(f"    sc{k} = list(st{k}.values())")
+                lines.append(f"    n{k} = len(sc{k})")
+        by_level: Dict[int, List[str]] = {}
+        for term, level in zip(terms, self.conjunct_levels):
+            by_level.setdefault(level, []).append(term)
+
+        def probe(k: int) -> str:
+            step = steps[k - 1]
+            return f"r{step.old_pos}[{step.old_name!r}]"
+
+        def emit_filter(level: int, pad: str) -> None:
+            level_terms = by_level.get(level)
+            if not level_terms:
+                return
+            test = " and ".join(f"({term})" for term in level_terms)
+            lines.append(f"{pad}if not ({test}):")
+            # Count-only chain: charge the PK probes the interpreter would
+            # still have run for this rejected row, building no tuples.
+            chain_pad = pad + "    "
+            needed = {steps[j - 1].old_pos for j in range(level + 1, innermost + 1)}
+            for k in range(level + 1, innermost + 1):
+                lines.append(f"{chain_pad}lookups += 1")
+                lines.append(f"{chain_pad}rid = pk{k}({probe(k)})")
+                lines.append(f"{chain_pad}if rid is not None:")
+                chain_pad += "    "
+                lines.append(f"{chain_pad}scanned += 1")
+                if k in needed:
+                    lines.append(f"{chain_pad}r{k} = st{k}[rid]")
+            lines.append(f"{pad}    continue")
+
+        pad = "        "
+        lines.append("    for r0 in rows:")
+        emit_filter(0, pad)
+        for k, step in enumerate(steps, 1):
+            if step.is_pk_probe:
+                # At most one match: the interpreter's one-element set copy
+                # (and its iteration order) without allocating it.
+                lines.append(f"{pad}rid = pk{k}({probe(k)})")
+                lines.append(f"{pad}lookups += 1")
+                lines.append(f"{pad}if rid is None:")
+                lines.append(f"{pad}    continue")
+                lines.append(f"{pad}scanned += 1")
+                lines.append(f"{pad}r{k} = st{k}[rid]")
+            elif step.use_index:
+                lines.append(f"{pad}ids{k} = lk{k}({step.new_name!r}, {probe(k)})")
+                lines.append(f"{pad}lookups += 1")
+                lines.append(f"{pad}scanned += len(ids{k})")
+                lines.append(f"{pad}for rid in ids{k}:")
+                pad += "    "
+                lines.append(f"{pad}r{k} = st{k}[rid]")
+            elif step.lazy_index is not None:
+                # Physically probe the lazy hash index; charge the full scan
+                # and keep its row order (ascending row id).
+                lines.append(f"{pad}v{k} = {probe(k)}")
+                lines.append(f"{pad}scanned += n{k}")
+                lines.append(f"{pad}if v{k} != v{k}:  # NaN: a scan's == matches nothing")
+                lines.append(f"{pad}    continue")
+                lines.append(f"{pad}for rid in sorted(bk{k}(v{k}, ())):")
+                pad += "    "
+                lines.append(f"{pad}r{k} = st{k}[rid]")
+            else:
+                # Join column missing from the table: reproduce the
+                # interpreter's ``row.get`` scan literally.
+                lines.append(f"{pad}v{k} = {probe(k)}")
+                lines.append(f"{pad}scanned += n{k}")
+                lines.append(f"{pad}for r{k} in sc{k}:")
+                pad += "    "
+                lines.append(f"{pad}if not (r{k}.get({step.new_name!r}) == v{k}):")
+                lines.append(f"{pad}    continue")
+            emit_filter(k, pad)
+        row = f"({', '.join(f'r{k}' for k in range(innermost + 1))})" if steps else "r0"
+        lines.append(f"{pad}append({row})")
+        lines.append("    return out, scanned, lookups")
+        exec("\n".join(lines), namespace)
+        return namespace["_run"]
+
     # ------------------------------------------------------------------ #
     # Validity
     # ------------------------------------------------------------------ #
@@ -440,11 +586,10 @@ class CompiledSelect:
         statement = self.statement
         bind = self._bind
         base_table = self.base_table
-        scanned = 0
         index_lookups = 0
 
         # ---- base rows ------------------------------------------------ #
-        use_lazy_base = False
+        rows: List[Dict[str, Any]]
         if self.index_conditions:
             # Declared-index pruning, verbatim interpreter semantics (set
             # copies + set.intersection keep the exact candidate order).
@@ -454,13 +599,12 @@ class CompiledSelect:
                 index_lookups += 1
             row_ids = set.intersection(*row_id_sets)
             stored = base_table._rows
-            rows: List[Any] = [stored[rid] for rid in row_ids]
-            scanned += len(rows)
+            rows = [stored[rid] for rid in row_ids]
+            scanned = len(rows)
         elif self.lazy_base_lookups:
             # Physically probe the lazy hash index; charge the scan the
             # interpreter would have paid and keep its row order (ascending
             # row id == insertion order == scan order).
-            use_lazy_base = True
             ids: Optional[Set[int]] = None
             for index, rhs_node in self.lazy_base_lookups:
                 value = bind(rhs_node, params)
@@ -471,77 +615,25 @@ class CompiledSelect:
                 ids = bucket if ids is None else (ids & bucket)
             stored = base_table._rows
             rows = [stored[rid] for rid in sorted(ids or ())]
-            scanned += len(base_table)
+            scanned = len(base_table)
         else:
             rows = list(base_table._rows.values())
-            scanned += len(rows)
+            scanned = len(rows)
 
-        # ---- joins (tuple rows) --------------------------------------- #
-        if self.joined:
-            rows = [(row,) for row in rows]
-            for step in self.join_steps:
-                out: List[Tuple[Dict[str, Any], ...]] = []
-                old_pos = step.old_pos
-                old_name = step.old_name
-                stored = step.table._rows
-                if step.use_index and step.new_name == step.table.primary_key:
-                    # PK probe: at most one match, so the interpreter's
-                    # one-element set copy (and its iteration order) is
-                    # reproduced without allocating it.
-                    pk_get = step.table._pk_index.get
-                    append = out.append
-                    for current in rows:
-                        rid = pk_get(current[old_pos][old_name])
-                        index_lookups += 1
-                        if rid is not None:
-                            scanned += 1
-                            append(current + (stored[rid],))
-                elif step.use_index:
-                    lookup = step.table.lookup_ids
-                    new_name = step.new_name
-                    for current in rows:
-                        ids = lookup(new_name, current[old_pos][old_name])
-                        index_lookups += 1
-                        scanned += len(ids)
-                        for rid in ids:
-                            out.append(current + (stored[rid],))
-                elif step.lazy_index is not None:
-                    table_size = len(step.table)
-                    lookup = step.lazy_index.lookup
-                    for current in rows:
-                        value = current[old_pos][old_name]
-                        scanned += table_size
-                        if value != value:  # NaN: scan semantics match nothing
-                            continue
-                        ids = lookup(value)
-                        if ids:
-                            for rid in sorted(ids):
-                                out.append(current + (stored[rid],))
-                else:
-                    # Join column missing from the table: reproduce the
-                    # interpreter's ``row.get`` scan literally.
-                    new_name = step.new_name
-                    join_rows = list(step.table._rows.values())
-                    for current in rows:
-                        value = current[old_pos][old_name]
-                        scanned += len(join_rows)
-                        for row in join_rows:
-                            if row.get(new_name) == value:
-                                out.append(current + (row,))
-                rows = out
-
-        # ---- residual filter ------------------------------------------ #
-        predicate = self._lazy_predicate if use_lazy_base else self._predicate
-        if predicate is not None:
+        # ---- fused joins + residual filter ---------------------------- #
+        run = self._run
+        if run is None:
+            # No joins and no filter left (any node-bearing equalities were
+            # consumed, and therefore bound, by the lazy base lookups).
+            filtered = rows
+        else:
             # Binding covers every residual rhs node (missing-parameter
             # errors surface exactly like the interpreter's, even for
             # conditions the lazy index lookups already consumed).
-            bound = tuple(bind(node, params) for node in self._residual_nodes)
-            filtered = [row for row in rows if predicate(row, bound)]
-        else:
-            # No residual predicate left; any node-bearing equalities were
-            # consumed — and therefore bound — by the lazy base lookups.
-            filtered = rows
+            bound = [bind(node, params) for node in self._residual_nodes]
+            filtered, join_scanned, join_lookups = run(rows, bound)
+            scanned += join_scanned
+            index_lookups += join_lookups
 
         # ---- aggregate pipeline --------------------------------------- #
         if self.is_aggregate:

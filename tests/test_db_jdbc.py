@@ -56,6 +56,40 @@ class TestResultSetAndStatements:
             result.get("missing")
         connection.close()
 
+    def test_get_before_next_names_the_missing_call(self, datasource):
+        connection = datasource.get_connection()
+        result = connection.execute_query("SELECT id FROM t")
+        with pytest.raises(SQLError, match=r"ResultSet\.next\(\) has not been called"):
+            result.get("id")
+        connection.close()
+
+    def test_get_after_exhaustion_reads_the_last_row(self, datasource):
+        connection = datasource.get_connection()
+        result = connection.execute_query("SELECT id, name FROM t ORDER BY id ASC")
+        while result.next():
+            pass
+        assert result.next() is False
+        assert result.get("id") == 4
+        assert result.get_string("name") == "row4"
+        connection.close()
+
+    def test_empty_result_get_raises(self, datasource):
+        connection = datasource.get_connection()
+        result = connection.execute_query("SELECT id FROM t WHERE id = 12345")
+        assert result.next() is False
+        with pytest.raises(SQLError, match="has not been called"):
+            result.get("id")
+        connection.close()
+
+    def test_missing_column_message(self, datasource):
+        connection = datasource.get_connection()
+        result = connection.execute_query("SELECT id, name FROM t WHERE id = 1")
+        assert result.next()
+        with pytest.raises(SQLError) as caught:
+            result.get("missing")
+        assert str(caught.value) == "result has no column 'missing' (columns: ['id', 'name'])"
+        connection.close()
+
     def test_prepared_statement_parameter_binding(self, datasource):
         connection = datasource.get_connection()
         statement = connection.prepare_statement("SELECT name FROM t WHERE id = ?")

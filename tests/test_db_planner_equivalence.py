@@ -396,7 +396,7 @@ def test_corpus_exercises_topk_and_lazy_paths(databases):
     """Sanity: the generated corpus actually hits the specialised operators."""
     planned_db, _ = databases
     rng = np.random.default_rng(42)
-    topk = lazy = 0
+    topk = lazy = pushed = 0
     for _ in range(120):
         sql, params = _random_statement(rng, planned_db)
         planned_db.execute(sql, params)
@@ -408,8 +408,11 @@ def test_corpus_exercises_topk_and_lazy_paths(databases):
         lazy += bool(plan.lazy_base_lookups) or any(
             step.lazy_index is not None for step in plan.join_steps
         )
+        # A conjunct evaluated below the last join level was pushed down.
+        pushed += any(level < len(plan.join_steps) for level in plan.conjunct_levels)
     assert topk > 5
     assert lazy > 5
+    assert pushed > 5
 
 
 @pytest.mark.parametrize("corpus_seed", [13, 99, 1234])
@@ -453,3 +456,217 @@ def test_aggregate_corpus_exercises_group_by(databases):
         global_agg += "GROUP BY" not in sql
     assert grouped > 10
     assert global_agg > 10
+
+
+# --------------------------------------------------------------------------- #
+# Predicate pushdown in the fused join loop
+# --------------------------------------------------------------------------- #
+def _outcome(database, sql, params):
+    """Rows and accounting of one execution, or the error it raised."""
+    lookups_before = database.stats.index_lookups
+    try:
+        result = database.execute(sql, list(params))
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return ("error", type(exc), str(exc))
+    return (
+        "rows",
+        result.rows,
+        result.rows_scanned,
+        database.stats.index_lookups - lookups_before,
+        result.cost_seconds,
+    )
+
+
+def assert_same_outcome(databases, sql, params=()):
+    """Planned and seed executors agree on rows, accounting or error."""
+    planned_db, seed_db = databases
+    planned = _outcome(planned_db, sql, params)
+    assert planned == _outcome(seed_db, sql, params), sql
+    assert _outcome(planned_db, sql, params) == planned, sql  # cached plan
+    return planned
+
+
+def _plan(database, sql):
+    return database._plan_cache[id(parse_sql(sql))][1]
+
+
+@pytest.fixture(scope="module")
+def dangling_databases():
+    """order_line -> item -> author with dangling and NaN foreign keys.
+
+    Order lines 7-8 point at a missing item; items 4-5 at a missing author
+    (item 5 at NULL); item 6's float tag is NaN.  ``tag`` has a FLOAT
+    primary key (PK probes with NaN), ``author.a_key`` no index at all
+    (lazy hash-index join with NaN).
+    """
+    import math
+
+    from repro.db.table import Column, ColumnType
+
+    planned = Database("pushdown")
+    planned.create_table(
+        "author",
+        [
+            Column("a_id", ColumnType.INTEGER, primary_key=True),
+            Column("a_lname", ColumnType.VARCHAR),
+            Column("a_key", ColumnType.FLOAT),
+        ],
+    )
+    planned.create_table(
+        "tag",
+        [Column("t_key", ColumnType.FLOAT, primary_key=True), Column("t_name", ColumnType.VARCHAR)],
+    )
+    planned.create_table(
+        "item",
+        [
+            Column("i_id", ColumnType.INTEGER, primary_key=True),
+            Column("i_a_id", ColumnType.INTEGER),
+            Column("i_subject", ColumnType.VARCHAR),
+            Column("i_title", ColumnType.VARCHAR),
+            Column("i_cost", ColumnType.FLOAT),
+            Column("i_tag", ColumnType.FLOAT),
+        ],
+    )
+    planned.create_table(
+        "order_line",
+        [
+            Column("ol_id", ColumnType.INTEGER, primary_key=True),
+            Column("ol_i_id", ColumnType.INTEGER),
+            Column("ol_qty", ColumnType.INTEGER),
+        ],
+    )
+    planned.table("item").create_index("i_subject")
+    for a_id, lname, key in [(1, "SMITH", 1.0), (2, "JONES", math.nan), (3, None, 3.0)]:
+        planned.table("author").insert({"a_id": a_id, "a_lname": lname, "a_key": key})
+    for key, name in [(1.0, "one"), (2.0, "two"), (math.nan, "nan")]:
+        planned.table("tag").insert({"t_key": key, "t_name": name})
+    items = [
+        (1, 1, "ARTS", "Alpha", 5.0, 1.0),
+        (2, 2, "ARTS", "Beta", 2.5, 2.0),
+        (3, 3, "HISTORY", "Gamma", 7.0, 1.0),
+        (4, 99, "ARTS", "Delta", 1.0, 2.0),  # dangling author
+        (5, None, "HISTORY", None, None, None),  # NULL author
+        (6, 1, "ARTS", "Eta", 3.0, math.nan),  # NaN tag
+    ]
+    for i_id, a_id, subject, title, cost, tag in items:
+        planned.table("item").insert(
+            {
+                "i_id": i_id,
+                "i_a_id": a_id,
+                "i_subject": subject,
+                "i_title": title,
+                "i_cost": cost,
+                "i_tag": tag,
+            }
+        )
+    lines = [(1, 1, 2), (2, 2, 3), (3, 3, 2), (4, 4, 2), (5, 5, 1), (6, 6, 2), (7, 42, 2), (8, 43, 3)]
+    for ol_id, i_id, qty in lines:
+        planned.table("order_line").insert({"ol_id": ol_id, "ol_i_id": i_id, "ol_qty": qty})
+    seed = make_seed_row_database_class()("pushdown")
+    seed._tables = planned._tables
+    return planned, seed
+
+
+DOUBLE_JOIN = (
+    "SELECT ol.ol_id, i.i_title, a.a_lname FROM order_line ol "
+    "JOIN item i ON ol.ol_i_id = i.i_id JOIN author a ON i.i_a_id = a.a_id "
+)
+
+
+@pytest.mark.parametrize(
+    "where,params,levels",
+    [
+        # base, middle and last table: each runs at its own level
+        ("WHERE ol.ol_qty = ? AND i.i_subject = ? AND a.a_lname != ?", [2, "ARTS", "JONES"], [0, 1, 2]),
+        ("WHERE a.a_lname != ? AND i.i_subject = ? AND ol.ol_qty = ?", ["X", "ARTS", 2], [2, 1, 0]),
+        ("WHERE i.i_title LIKE ? AND ol.ol_qty != ?", ["%a", 3], [1, 0]),
+        ("WHERE ol.ol_qty = ?", [99], [0]),  # rejects every row at the base
+        ("WHERE i.i_subject = ?", [None], [1]),
+        ("WHERE i.i_a_id = a.a_id AND ol.ol_qty = ?", [2], [2, 0]),
+    ],
+)
+def test_pushdown_double_join_with_dangling_keys(dangling_databases, where, params, levels):
+    planned_db, _ = dangling_databases
+    sql = DOUBLE_JOIN + where
+    outcome = assert_same_outcome(dangling_databases, sql, params)
+    assert outcome[0] == "rows"
+    assert _plan(planned_db, sql).conjunct_levels == levels
+
+
+@pytest.mark.parametrize(
+    "where,params,levels",
+    [
+        # raising '<' first: nothing after it may move
+        ("WHERE i.i_title < ? AND ol.ol_qty = ?", [5, 2], [2, 2]),
+        # pushed '=' first, raising '<' after it stays innermost
+        ("WHERE ol.ol_qty = ? AND i.i_title < ?", [2, 5], [0, 2]),
+        ("WHERE i.i_subject = ? AND a.a_lname > ?", ["ARTS", 1], [1, 2]),
+        # the pushed '=' rejects every row, so the '<' never runs
+        ("WHERE ol.ol_qty = ? AND i.i_title < ?", [99, 5], [0, 2]),
+        ("WHERE i.i_cost < ? AND i.i_subject = ?", ["x", "ARTS"], [2, 2]),
+    ],
+)
+def test_pushdown_keeps_the_seed_error(dangling_databases, where, params, levels):
+    planned_db, _ = dangling_databases
+    sql = DOUBLE_JOIN + where
+    outcome = assert_same_outcome(dangling_databases, sql, params)
+    assert _plan(planned_db, sql).conjunct_levels == levels
+    if params[0] != 99:
+        assert outcome[:2] == ("error", TypeError)
+
+
+@pytest.mark.parametrize(
+    "sql,params",
+    [
+        # PK probe (FLOAT primary key) with a NaN join key
+        (
+            "SELECT ol.ol_id, t.t_name FROM order_line ol JOIN item i ON ol.ol_i_id = i.i_id "
+            "JOIN tag t ON i.i_tag = t.t_key WHERE ol.ol_qty = ?",
+            [2],
+        ),
+        (
+            "SELECT i.i_id, t.t_name FROM item i JOIN tag t ON i.i_tag = t.t_key "
+            "WHERE i.i_subject != ?",
+            ["HISTORY"],
+        ),
+        # lazy hash-index join with a NaN key, then a PK probe
+        (
+            "SELECT t.t_name, a.a_id FROM tag t JOIN author a ON t.t_key = a.a_key "
+            "JOIN item i ON a.a_id = i.i_id WHERE t.t_name != ? AND i.i_subject = ?",
+            ["two", "ARTS"],
+        ),
+        # declared non-PK index step followed by a PK probe
+        (
+            "SELECT a.a_id, i.i_id, t.t_name FROM author a JOIN item i ON i.i_a_id = a.a_id "
+            "JOIN tag t ON i.i_tag = t.t_key WHERE a.a_lname = ? AND i.i_cost != ?",
+            ["SMITH", 3.0],
+        ),
+    ],
+)
+def test_pushdown_with_nan_join_keys(dangling_databases, sql, params):
+    planned_db, _ = dangling_databases
+    assert assert_same_outcome(dangling_databases, sql, params)[0] == "rows"
+    plan = _plan(planned_db, sql)
+    assert any(level < len(plan.join_steps) for level in plan.conjunct_levels)
+
+
+@pytest.fixture(scope="module")
+def standard_databases():
+    """Planned and seed executors over one standard-population store."""
+    planned = Database("tpcw")
+    create_tpcw_schema(planned)
+    populate_database(planned, scale=PopulationScale.standard(), streams=RandomStreams(42))
+    seed = make_seed_row_database_class()("tpcw")
+    seed._tables = planned._tables
+    return planned, seed
+
+
+def test_best_sellers_every_subject_standard_population(standard_databases):
+    from repro.tpcw.servlets.best_sellers import _BEST_SELLERS_SQL
+
+    planned_db, _ = standard_databases
+    for subject in SUBJECTS:
+        outcome = assert_same_outcome(standard_databases, _BEST_SELLERS_SQL, [subject])
+        assert outcome[0] == "rows" and outcome[1], subject
+    # i_subject binds on item, and author is a PK probe: pushed to level 1.
+    assert _plan(planned_db, _BEST_SELLERS_SQL).conjunct_levels == [1]

@@ -51,6 +51,7 @@ class TestRegistry:
             "adaptive_e2e",
             "learning_e2e",
             "thread_accounting",
+            "best_sellers",
         ]:
             assert expected in names
 
@@ -178,6 +179,24 @@ class TestRegistry:
         assert by_name["woven_dispatch"].speedup_vs_seed > 1.0
         assert by_name["snapshot_sizing"].speedup_vs_seed > 1.0
 
+
+    def test_best_sellers_sides_return_identical_results(self):
+        from repro.db.engine import Database
+        from repro.perf.benches import _build_group_by_database
+        from repro.perf.seed_reference import make_seed_row_database_class
+        from repro.tpcw.servlets.best_sellers import _BEST_SELLERS_SQL
+
+        current, seed = (
+            _build_group_by_database(cls, 200, 20, 5, 800)
+            for cls in (Database, make_seed_row_database_class())
+        )
+        for index in range(5):
+            params = [f"SUBJECT{index}"]
+            planned = current.execute(_BEST_SELLERS_SQL, params)
+            reference = seed.execute(_BEST_SELLERS_SQL, params)
+            assert planned.rows and planned.rows == reference.rows
+            assert planned.rows_scanned == reference.rows_scanned
+            assert planned.cost_seconds == reference.cost_seconds
 
     def test_thread_accounting_sides_read_identical_counts(self):
         from repro.jvm.threads import ThreadRegistry
