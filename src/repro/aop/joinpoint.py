@@ -79,8 +79,9 @@ class JoinPoint:
     result, exception:
         Populated after the underlying method returns or raises.
     context:
-        Scratch space where advices can stash per-execution data (the Aspect
-        Component stores its "before" resource snapshot here).
+        Scratch space where advices can stash per-execution data (each Aspect
+        Component stores its "before" resource snapshot here, keyed by
+        itself).
     """
 
     # Class-level defaults: a weave-time-compiled subclass overrides the
@@ -93,7 +94,7 @@ class JoinPoint:
     timestamp: float = 0.0
     result: Any = None
     exception: Optional[BaseException] = None
-    _context: Optional[Dict[str, Any]] = None
+    _context: Optional[Dict[Any, Any]] = None
 
     def __init__(
         self,
@@ -106,7 +107,7 @@ class JoinPoint:
         timestamp: float = 0.0,
         result: Any = None,
         exception: Optional[BaseException] = None,
-        context: Optional[Dict[str, Any]] = None,
+        context: Optional[Dict[Any, Any]] = None,
     ) -> None:
         self.kind = kind
         self.target = target
@@ -121,7 +122,7 @@ class JoinPoint:
             self._context = context
 
     @property
-    def context(self) -> Dict[str, Any]:
+    def context(self) -> Dict[Any, Any]:
         """Per-execution scratch space, created on first access."""
         ctx = self._context
         if ctx is None:

@@ -4,8 +4,18 @@ One AC is associated with every application component (Section III-B.1 of
 the paper).  The AC contributes two advices — *before* and *after* the
 component's execution — which sample every registered JMX Monitoring Agent,
 attribute the measured deltas to the component, and forward the sample to
-the JMX Manager Agent through the MBeanServer (the AC never holds a direct
-reference to the manager, so either side can be replaced at runtime).
+the JMX Manager Agent.
+
+The AC finds the agents and the manager through the MBeanServer, never
+through references handed to it, so either side can be replaced at runtime.
+Looking them up on every advice would repeat work whose answer only changes
+when an MBean is registered or unregistered.  The AC therefore binds the
+agents' ``sample`` operations (in query order), the manager's
+``record_sample`` and the overhead account's ``charge_sample`` once per
+:attr:`MBeanServer.epoch <repro.jmx.mbean_server.MBeanServer.epoch>` — the
+counter every (un)registration bumps — and re-binds on the first advice
+after the epoch moves.  A replaced or removed agent or manager therefore
+takes effect on the very next advice, exactly as with a per-advice lookup.
 
 The AC Proxy is the MBean face of the AC: through it the Manager Agent (and
 the External Front-end) can ask how many requests the component has served,
@@ -15,7 +25,8 @@ monitoring coverage for overhead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import functools
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.aop.advice import Advice, AdviceKind
 from repro.aop.aspect import Aspect
@@ -24,12 +35,14 @@ from repro.aop.pointcut import ExecutionPointcut
 from repro.core.monitoring_agents import AGENT_DOMAIN
 from repro.core.overhead import OverheadAccount
 from repro.core.resource_map import ComponentSample
-from repro.jmx.mbean import MBean, attribute, operation
+from repro.jmx.mbean import MBean, MBeanOperationError, attribute, operation
 from repro.jmx.mbean_server import MBeanServer
 from repro.jmx.object_name import ObjectName
 
 #: JMX domain under which AC proxies register.
 ASPECT_DOMAIN = "repro.aspects"
+#: ObjectName pattern under which the AC discovers monitoring agents.
+AGENT_PATTERN = f"{AGENT_DOMAIN}:*"
 #: JMX domain/type of the manager agent the AC reports to.
 MANAGER_PATTERN = "repro.core:type=ManagerAgent,*"
 
@@ -37,6 +50,19 @@ MANAGER_PATTERN = "repro.core:type=ManagerAgent,*"
 def aspect_object_name(component: str) -> ObjectName:
     """Canonical ObjectName of the AC proxy for ``component``."""
     return ObjectName.of(ASPECT_DOMAIN, type="AspectComponent", component=component)
+
+
+def _bind_operation(mbean: MBean, operation_name: str) -> Callable[..., Any]:
+    """``mbean``'s bound operation, or a call that raises like ``invoke`` would.
+
+    An MBean that does not declare the operation fails when it is called,
+    not when the AC binds: agents queried before it are still sampled and
+    charged first, as with a per-advice ``MBeanServer.invoke``.
+    """
+    try:
+        return mbean.bound_operation(operation_name)
+    except MBeanOperationError:
+        return functools.partial(mbean.invoke, operation_name)
 
 
 class AspectComponent(Aspect):
@@ -58,8 +84,6 @@ class AspectComponent(Aspect):
     method_pattern:
         Which methods of the component to intercept (default ``service`` —
         the single entry point of a servlet).
-    agent_pattern:
-        ObjectName pattern used to discover monitoring agents.
     """
 
     def __init__(
@@ -70,7 +94,6 @@ class AspectComponent(Aspect):
         overhead: Optional[OverheadAccount] = None,
         clock: Optional[Any] = None,
         method_pattern: str = "service",
-        agent_pattern: str = f"{AGENT_DOMAIN}:*",
     ) -> None:
         super().__init__()
         self.aspect_name = f"AC[{component_name}]"
@@ -80,8 +103,12 @@ class AspectComponent(Aspect):
         self._overhead = overhead
         self._clock = clock
         self.method_pattern = method_pattern
-        self.agent_pattern = agent_pattern
         self._manager_name: Optional[ObjectName] = None
+        # Handles bound for registration epoch ``_bound_epoch`` (see _bind).
+        self._bound_epoch = -1
+        self._agent_samplers: Tuple[Callable[[str], Dict[str, float]], ...] = ()
+        self._record_sample: Optional[Callable[[ComponentSample], None]] = None
+        self._charge_sample: Optional[Callable[[str], float]] = None
         self._invocations = 0
         self._samples_sent = 0
         self._last_deltas: Dict[str, float] = {}
@@ -114,36 +141,63 @@ class AspectComponent(Aspect):
     def _now(self) -> float:
         return float(getattr(self._clock, "now", 0.0)) if self._clock is not None else 0.0
 
+    def _bind(self) -> None:
+        """Resolve the agent, manager and overhead handles for the current epoch.
+
+        Agents are bound in ``query_names`` order.  The manager name sticks
+        while it stays registered; otherwise the first match of
+        :data:`MANAGER_PATTERN` (if any) takes over.
+        """
+        server = self._server
+        self._agent_samplers = tuple(
+            _bind_operation(server.get_mbean(name), "sample")
+            for name in server.query_names(AGENT_PATTERN)
+        )
+        manager = self._manager_name
+        if manager is None or not server.is_registered(manager):
+            names = server.query_names(MANAGER_PATTERN)
+            manager = self._manager_name = names[0] if names else None
+        self._record_sample = (
+            None if manager is None else _bind_operation(server.get_mbean(manager), "record_sample")
+        )
+        overhead = self._overhead
+        self._charge_sample = None if overhead is None else overhead.charge_sample
+        self._bound_epoch = server.epoch
+
     def _sample_agents(self) -> Dict[str, float]:
-        """Query every registered monitoring agent for this component."""
+        """Query every registered monitoring agent for this component.
+
+        Agents report float values; one agent's metrics overwrite an earlier
+        agent's of the same name.
+        """
+        if self._bound_epoch != self._server.epoch:
+            self._bind()
+        component = self.component_name
+        charge_sample = self._charge_sample
         measurements: Dict[str, float] = {}
-        agent_names = self._server.query_names(self.agent_pattern)
-        for agent_name in agent_names:
-            values = self._server.invoke(agent_name, "sample", self.component_name)
+        for sample in self._agent_samplers:
+            values = sample(component)
             if not values:
                 continue
-            measurements.update({metric: float(value) for metric, value in values.items()})
-            if self._overhead is not None:
-                self._overhead.charge_sample(self.component_name)
+            measurements.update(values)
+            if charge_sample is not None:
+                charge_sample(component)
         return measurements
-
-    def _find_manager(self) -> Optional[ObjectName]:
-        if self._manager_name is not None and self._server.is_registered(self._manager_name):
-            return self._manager_name
-        names = self._server.query_names(MANAGER_PATTERN)
-        self._manager_name = names[0] if names else None
-        return self._manager_name
 
     # ------------------------------------------------------------------ #
     # Advices
     # ------------------------------------------------------------------ #
     def before_component_execution(self, join_point: JoinPoint) -> None:
-        """Snapshot every monitored resource before the component runs."""
-        join_point.context["ac.before"] = self._sample_agents()
+        """Snapshot every monitored resource before the component runs.
+
+        The snapshot is keyed by this AC, so several ACs woven around one
+        method each keep their own.
+        """
+        join_point.context[self] = self._sample_agents()
 
     def after_component_execution(self, join_point: JoinPoint) -> None:
         """Re-sample, attribute the deltas and report to the manager."""
-        before_values = join_point.context.get("ac.before", {})
+        before_values = join_point.context.get(self, {})
         after_values = self._sample_agents()
         deltas = {
             metric: after_values[metric] - before_values.get(metric, after_values[metric])
@@ -153,15 +207,16 @@ class AspectComponent(Aspect):
         self._last_deltas = deltas
         self._last_values = after_values
 
-        sample = ComponentSample(
-            component=self.component_name,
-            timestamp=self._now() or join_point.timestamp,
-            deltas=deltas,
-            values=after_values,
-        )
-        manager = self._find_manager()
-        if manager is not None:
-            self._server.invoke(manager, "record_sample", sample)
+        record_sample = self._record_sample
+        if record_sample is not None:
+            record_sample(
+                ComponentSample(
+                    component=self.component_name,
+                    timestamp=self._now() or join_point.timestamp,
+                    deltas=deltas,
+                    values=after_values,
+                )
+            )
             self._samples_sent += 1
 
     # ------------------------------------------------------------------ #

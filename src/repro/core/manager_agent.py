@@ -96,13 +96,13 @@ class ManagerAgent(MBean, NotificationBroadcaster):
         return self._map
 
     # ------------------------------------------------------------------ #
-    # Sample intake (called by ACs through the MBeanServer)
+    # Sample intake (bound by ACs through the MBeanServer)
     # ------------------------------------------------------------------ #
     @operation
     def record_sample(self, sample: ComponentSample) -> None:
         """Buffer one Aspect-Component sample (folded into the map in batches).
 
-        ACs deliver two samples per intercepted request; buffering them and
+        ACs deliver one sample per intercepted request; buffering them and
         folding in bulk replaces per-sample series appends on the hottest
         monitoring path.  Every read of the map flushes first, so buffering
         is invisible to consumers.

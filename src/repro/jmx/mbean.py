@@ -166,8 +166,13 @@ class MBean:
             )
         setter(value)
 
-    def invoke(self, operation_name: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke a management operation by name."""
+    def bound_operation(self, operation_name: str) -> Callable[..., Any]:
+        """The bound method behind a declared management operation.
+
+        A caller that invokes one operation on every request (the Aspect
+        Component sampling its agents) resolves it once here and calls the
+        result directly; :meth:`invoke` is this lookup plus the call.
+        """
         info = self.mbean_info()
         meta = info.operations.get(operation_name)
         if meta is None:
@@ -175,4 +180,8 @@ class MBean:
                 f"{type(self).__name__} has no management operation {operation_name!r} "
                 f"(available: {info.operation_names()})"
             )
-        return getattr(self, meta["method"])(*args, **kwargs)
+        return getattr(self, meta["method"])
+
+    def invoke(self, operation_name: str, *args: Any, **kwargs: Any) -> Any:
+        """Invoke a management operation by name."""
+        return self.bound_operation(operation_name)(*args, **kwargs)

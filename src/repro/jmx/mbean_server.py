@@ -41,11 +41,16 @@ class MBeanServer(NotificationBroadcaster):
         super().__init__()
         self.name = name
         self._registry: Dict[ObjectName, MBean] = {}
-        #: Pattern -> matching names.  Aspect Components resolve the same
-        #: agent/manager patterns twice per intercepted request, so pattern
-        #: matching + sorting dominated the sample path; the registry only
-        #: changes on (un)registration, which clears the cache wholesale.
+        #: Pattern -> matching names.  Pattern matching + sorting is far
+        #: dearer than a dict hit for the callers that repeat one query (the
+        #: manager's snapshot and proxy scans, each Aspect Component's
+        #: re-binding); the registry only changes on (un)registration, which
+        #: clears the cache wholesale.
         self._query_cache: Dict[str, List[ObjectName]] = {}
+        #: Registration epoch: bumped by every register and unregister, so a
+        #: caller holding handles resolved from the registry knows when they
+        #: may be stale (read it, do not write it).
+        self.epoch = 0
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -69,6 +74,7 @@ class MBeanServer(NotificationBroadcaster):
             raise InstanceAlreadyExistsError(f"object name already registered: {object_name}")
         self._registry[object_name] = mbean
         self._query_cache.clear()
+        self.epoch += 1
         self.send_notification(
             REGISTRATION_NOTIFICATION,
             source=str(object_name),
@@ -83,6 +89,7 @@ class MBeanServer(NotificationBroadcaster):
         if mbean is None:
             raise InstanceNotFoundError(str(object_name))
         self._query_cache.clear()
+        self.epoch += 1
         self.send_notification(
             UNREGISTRATION_NOTIFICATION,
             source=str(object_name),

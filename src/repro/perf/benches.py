@@ -19,6 +19,11 @@ Coverage, mirroring the hottest layers of the reproduction stack:
 ``manager_intake``
     Manager-agent sample intake: buffered/batched folding vs. the seed's
     per-sample fold, re-measured live in the same process.
+``monitor_advice``
+    Woven component calls through the Aspect Component's before/after
+    advice with the five default agents and the manager registered: agent
+    and manager handles bound once per registration epoch vs. the seed's
+    per-advice MBeanServer lookups, re-measured live.
 ``rejuvenation_e2e``
     End-to-end wall-clock of the three-policy live rejuvenation scenario
     (no action / time-based full restarts / proactive micro-reboots), plus
@@ -417,6 +422,106 @@ def bench_manager_intake(options: BenchOptions) -> BenchResult:
         },
         speedup_vs_seed=current / seed,
         target_speedup=None,
+        config={"tiny": options.tiny},
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Aspect Component monitoring advice
+# --------------------------------------------------------------------------- #
+class _MonitoredComponent:
+    """Application component that leaks ``leak_bytes`` per execution (none by default)."""
+
+    java_class_name = "org.tpcw.servlet.TPCW_bench_interaction"
+
+    def __init__(self, runtime) -> None:
+        self.runtime = runtime
+        self.root = runtime.allocate(self.java_class_name, 4096, owner="bench", root=True)
+
+    def service(self, leak_bytes: int = 0) -> None:
+        if leak_bytes:
+            self.root.add_reference(self.runtime.allocate("Leak", leak_bytes, owner="bench"))
+
+
+def monitor_advice_fixture(ac_class):
+    """One ``ac_class`` AC woven around a component, as the framework wires it.
+
+    The MBeanServer holds all five default agents (object size, heap,
+    connections, CPU, threads) plus the manager agent.  Returns
+    ``(component, aspect component, manager, overhead account)``.
+    """
+    from repro.aop.weaver import Weaver
+    from repro.core.manager_agent import MANAGER_OBJECT_NAME, ManagerAgent
+    from repro.core.monitoring_agents import ObjectSizeAgent, default_agents
+    from repro.core.overhead import OverheadAccount
+    from repro.db.engine import Database
+    from repro.db.jdbc import DataSource
+    from repro.jmx.mbean_server import MBeanServer
+    from repro.jvm.runtime import JvmRuntime
+
+    runtime = JvmRuntime(heap_bytes=64 * 1024 * 1024)
+    server = MBeanServer()
+    component = _MonitoredComponent(runtime)
+    for agent in default_agents(runtime, DataSource(Database("bench"), pool_size=10)):
+        server.register(agent.object_name(), agent)
+        if isinstance(agent, ObjectSizeAgent):
+            agent.register_component("bench", component.root)
+    manager = ManagerAgent(server)
+    server.register(MANAGER_OBJECT_NAME, manager)
+    manager.register_component("bench")
+    overhead = OverheadAccount()
+    aspect = ac_class("bench", component.java_class_name, server, overhead=overhead)
+    weaver = Weaver()
+    weaver.register_aspect(aspect)
+    weaver.weave_object(component, method_names=["service"])
+    return component, aspect, manager, overhead
+
+
+#: The epoch-bound AC measures 1.9-2.2x the per-advice lookups; the floor
+#: trips if a per-advice lookup creeps back into the sampling path.
+MONITOR_ADVICE_TARGET = 1.5
+
+
+@microbench("monitor_advice")
+def bench_monitor_advice(options: BenchOptions) -> BenchResult:
+    """Woven component calls: epoch-bound AC vs. per-advice lookups (live A/B).
+
+    Each call runs the AC's before and after advice: ten agent samples,
+    ten overhead charges and one manager intake.  The live AC calls the
+    handles it bound for the current registration epoch; the seed side
+    queries the agents and probes the manager through the MBeanServer on
+    every advice.  The perf-harness tests assert both sides deliver
+    identical samples and overhead state.
+    """
+    from repro.core.aspect_component import AspectComponent
+    from repro.perf.seed_reference import SeedAspectComponent
+
+    calls = 5_000 if options.tiny else 20_000
+
+    def make_runner(ac_class) -> Callable[[], int]:
+        service = monitor_advice_fixture(ac_class)[0].service
+
+        def run() -> int:
+            for _ in range(calls):
+                service()
+            return calls
+
+        return run
+
+    rates = measure_rates_interleaved(
+        {"current": make_runner(AspectComponent), "seed": make_runner(SeedAspectComponent)}
+    )
+    current, seed = rates["current"], rates["seed"]
+    return BenchResult(
+        name="monitor_advice",
+        metrics={
+            "calls_per_second": current,
+            "seed_calls_per_second": seed,
+            "agents": 5,
+            "calls": calls,
+        },
+        speedup_vs_seed=current / seed,
+        target_speedup=MONITOR_ADVICE_TARGET,
         config={"tiny": options.tiny},
     )
 
@@ -924,6 +1029,9 @@ def _build_group_by_database(
 
 #: The streaming fold must at minimum not lose to the materialized path.
 GROUP_BY_TARGET = 1.0
+#: Interleaved rounds: twelve ``--tiny`` runs read 1.13-1.25x with nine
+#: against 1.09-1.33x with the default three.
+GROUP_BY_REPEATS = 9
 
 
 @microbench("group_by")
@@ -970,7 +1078,8 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
         return run
 
     rates = measure_rates_interleaved(
-        {"streaming": make_runner(True), "materialized": make_runner(False)}
+        {"streaming": make_runner(True), "materialized": make_runner(False)},
+        repeats=GROUP_BY_REPEATS,
     )
     streaming, materialized = rates["streaming"], rates["materialized"]
     return BenchResult(
@@ -984,8 +1093,8 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
         },
         speedup_vs_seed=streaming / materialized,
         # The commitment is "streaming never loses to materialized"; the
-        # measured ratio (1.1-1.4x depending on machine load) rides above it,
-        # and the compare gate only fails a drop that also breaks the target.
+        # measured ratio (1.1-1.3x) rides above it, and the compare gate
+        # only fails a drop that also breaks the target.
         target_speedup=GROUP_BY_TARGET,
         config={"tiny": options.tiny},
     )

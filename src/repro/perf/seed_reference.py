@@ -3,9 +3,10 @@
 The ``repro bench`` speedup numbers are only meaningful if the baseline is
 measured on the *same* machine, in the same process, on the same Python.
 This module therefore preserves the seed commit's hot-path implementations
-verbatim (the ``order=True`` dataclass event heap and the closure-chain
-weaver with its eagerly allocated dataclass join point), so every bench run
-re-measures the seed algorithm live instead of trusting stale numbers.
+verbatim (the ``order=True`` dataclass event heap, the closure-chain
+weaver with its eagerly allocated dataclass join point, the Aspect
+Component's per-advice MBeanServer lookups), so every bench run re-measures
+the seed algorithm live instead of trusting stale numbers.
 
 No production module may import from here — these classes exist purely as
 measurement controls and as test oracles.
@@ -21,7 +22,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.aop.advice import Advice, AdviceKind
 from repro.aop.aspect import Aspect
-from repro.aop.joinpoint import Signature, declaring_type_of
+from repro.aop.joinpoint import JoinPoint, Signature, declaring_type_of
+from repro.core.aspect_component import AGENT_PATTERN, MANAGER_PATTERN, AspectComponent
+from repro.core.resource_map import ComponentSample
+from repro.jmx.object_name import ObjectName
 from repro.jvm.threads import JvmThread, ThreadLimitError, ThreadState
 
 
@@ -675,3 +679,58 @@ class SeedThreadRegistry:
     @property
     def total_started(self) -> int:
         return self._total_started
+
+
+# --------------------------------------------------------------------------- #
+# Aspect Component resolving agents and manager on every advice
+# --------------------------------------------------------------------------- #
+class SeedAspectComponent(AspectComponent):
+    """The Aspect Component's per-advice lookup path, kept verbatim.
+
+    Every advice re-runs ``query_names`` for the agents, routes each agent
+    read through ``MBeanServer.invoke`` and re-checks the manager with
+    ``is_registered`` — the path the live AC replaced by binding its handles
+    once per registration epoch.  The before-snapshot keying is the live
+    AC's (one entry per AC), so the two sides differ only in the lookups.
+    """
+
+    def _sample_agents(self) -> Dict[str, float]:
+        measurements: Dict[str, float] = {}
+        agent_names = self._server.query_names(AGENT_PATTERN)
+        for agent_name in agent_names:
+            values = self._server.invoke(agent_name, "sample", self.component_name)
+            if not values:
+                continue
+            measurements.update({metric: float(value) for metric, value in values.items()})
+            if self._overhead is not None:
+                self._overhead.charge_sample(self.component_name)
+        return measurements
+
+    def _find_manager(self) -> Optional[ObjectName]:
+        if self._manager_name is not None and self._server.is_registered(self._manager_name):
+            return self._manager_name
+        names = self._server.query_names(MANAGER_PATTERN)
+        self._manager_name = names[0] if names else None
+        return self._manager_name
+
+    def after_component_execution(self, join_point: JoinPoint) -> None:
+        before_values = join_point.context.get(self, {})
+        after_values = self._sample_agents()
+        deltas = {
+            metric: after_values[metric] - before_values.get(metric, after_values[metric])
+            for metric in after_values
+        }
+        self._invocations += 1
+        self._last_deltas = deltas
+        self._last_values = after_values
+
+        sample = ComponentSample(
+            component=self.component_name,
+            timestamp=self._now() or join_point.timestamp,
+            deltas=deltas,
+            values=after_values,
+        )
+        manager = self._find_manager()
+        if manager is not None:
+            self._server.invoke(manager, "record_sample", sample)
+            self._samples_sent += 1

@@ -9,6 +9,7 @@ the evidence.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Callable, Dict, List
 
@@ -60,6 +61,12 @@ def measure_rates_interleaved(
     neighbour starting mid-run) landing entirely on one side.  Interleaving
     the repeats round-robin places both sides in every drift window, so the
     best-of-N ratio stays honest on noisy single-core runners.
+
+    Each timed run starts from a collected heap.  Without that, the garbage
+    one side leaves behind is collected, and paid for, inside the next
+    side's timed run, and the bill grows with everything else the process
+    holds: the ``group_by`` ratio read about 1.0 under ``repro bench`` but
+    1.4 in a bare interpreter.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -69,6 +76,7 @@ def measure_rates_interleaved(
     best: Dict[str, float] = {name: 0.0 for name in fns}
     for _ in range(repeats):
         for name, fn in fns.items():
+            gc.collect()
             with BenchTimer() as timer:
                 count = fn()
             if timer.seconds > 0 and count > 0:

@@ -30,6 +30,7 @@ from repro.core.resource_map import ComponentSample
 from repro.db.engine import Database
 from repro.db.jdbc import DataSource
 from repro.db.table import Column, ColumnType
+from repro.jmx.mbean import MBeanOperationError
 from repro.jmx.mbean_server import MBeanServer
 from repro.jvm.runtime import JvmRuntime
 
@@ -197,6 +198,67 @@ class TestAspectComponent:
         component.service()
         assert aspect.invocation_count == 1
         assert aspect.samples_sent == 0  # nowhere to send
+
+    def test_two_acs_on_one_method_keep_their_own_deltas(self, runtime):
+        server = MBeanServer()
+        agent = ObjectSizeAgent(runtime)
+        server.register(agent.object_name(), agent)
+        component = _FakeComponent(runtime)
+        agent.register_component("home", component.root)
+        other_root = runtime.allocate("Other", 6144, owner="other", root=True)
+        agent.register_component("other", other_root)
+        weaver = Weaver()
+        home_ac, other_ac = (
+            AspectComponent(name, component.java_class_name, server) for name in ("home", "other")
+        )
+        weaver.register_aspect(home_ac)
+        weaver.register_aspect(other_ac)
+        weaver.weave_object(component)
+
+        component.service()
+        assert home_ac.last_deltas["object_size"] == 0.0
+        assert other_ac.last_deltas["object_size"] == 0.0
+
+        component.leak_next = 1000
+        component.service()
+        assert home_ac.last_deltas["object_size"] == 1000.0
+        assert other_ac.last_deltas["object_size"] == 0.0
+
+    def test_agent_changes_take_effect_on_next_advice(self, runtime):
+        server, manager, component, aspect, overhead = _build_monitored_component(runtime)
+        component.service()
+        assert set(aspect.last_values) == {"object_size", "heap_used", "heap_free"}
+
+        server.unregister(HeapAgent(runtime).object_name())
+        component.service()
+        assert set(aspect.last_values) == {"object_size"}
+
+        cpu = CpuAgent(runtime)
+        runtime.record_cpu_time("home", 2.0)
+        server.register(cpu.object_name(), cpu)
+        component.service()
+        assert aspect.last_values["cpu_seconds"] == 2.0
+        assert overhead.sample_count == 4 + 2 + 4
+
+    def test_manager_replacement_takes_effect_on_next_advice(self, runtime):
+        server, manager, component, aspect, _ = _build_monitored_component(runtime)
+        component.service()
+        server.unregister(MANAGER_OBJECT_NAME)
+        component.service()
+        assert aspect.samples_sent == 1
+        replacement = ManagerAgent(server)
+        server.register(MANAGER_OBJECT_NAME, replacement)
+        component.service()
+        assert aspect.samples_sent == 2
+        assert manager.map.sample_count == 1
+        assert replacement.map.sample_count == 1
+
+    def test_agent_without_sample_operation_fails_the_next_advice(self, runtime):
+        server, manager, component, aspect, _ = _build_monitored_component(runtime)
+        component.service()
+        server.register(f"{AGENT_DOMAIN}:type=legacy", AspectComponentProxy(aspect))
+        with pytest.raises(MBeanOperationError):
+            component.service()
 
 
 class TestManagerAgent:

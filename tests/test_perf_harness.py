@@ -52,6 +52,7 @@ class TestRegistry:
             "learning_e2e",
             "thread_accounting",
             "best_sellers",
+            "monitor_advice",
         ]:
             assert expected in names
 
@@ -209,6 +210,46 @@ class TestRegistry:
             for cls in (ThreadRegistry, SeedThreadRegistry)
         ]
         assert checksums[0] == checksums[1] > 0
+
+    def test_monitor_advice_sides_deliver_identical_samples(self, monkeypatch):
+        from repro.core.aspect_component import AspectComponent
+        from repro.core.manager_agent import ManagerAgent
+        from repro.jmx.mbean import operation
+        from repro.perf.benches import monitor_advice_fixture
+        from repro.perf.seed_reference import SeedAspectComponent
+
+        received = {}
+        intake = ManagerAgent.record_sample
+
+        @operation
+        def record_sample(manager, sample):
+            received.setdefault(id(manager), []).append(sample)
+            intake(manager, sample)
+
+        monkeypatch.setattr(ManagerAgent, "record_sample", record_sample)
+        states = []
+        for ac_class in (AspectComponent, SeedAspectComponent):
+            component, aspect, manager, overhead = monitor_advice_fixture(ac_class)
+            for leak_bytes in (0, 512, 0, 0, 2048, 64, 0):
+                component.service(leak_bytes)
+            states.append(
+                (
+                    received[id(manager)],
+                    (aspect.last_deltas, aspect.last_values, aspect.samples_sent),
+                    (
+                        overhead.pending_seconds,
+                        overhead.total_seconds,
+                        overhead.by_component(),
+                        overhead.sample_count,
+                    ),
+                )
+            )
+        live, seed = states
+        assert len(live[0]) == 7
+        assert live[0][4].deltas["object_size"] == 2048.0
+        assert live == seed
+        # Five agents, before and after each of the seven calls.
+        assert live[2][3] == 70
 
 
 class TestCompareArtifacts:
